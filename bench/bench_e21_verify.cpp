@@ -3,8 +3,8 @@
 //
 // The verifier is a CI gate (the `static-verify` job), so its cost per
 // target is a budget the repo lives inside; this bench records it. Rows
-// are the gate's own matrix: W/V/X/VX under both tree storage orders,
-// the snapshot/sequential/trivial variants, and one src/programs
+// are the gate's own matrix: W/V/X/VX, the snapshot/sequential/trivial
+// variants, and one src/programs
 // workload (prefix-sum) wrapped in the Theorem 4.1 executor. Every row
 // must verify *clean* — a finding is a failed postcondition, not a slow
 // run. Timings are the median of 3 runs after one warmup; the exported
@@ -21,7 +21,6 @@
 #include "programs/programs.hpp"
 #include "sim/simulator.hpp"
 #include "util/table.hpp"
-#include "writeall/layout.hpp"
 #include "writeall/runner.hpp"
 
 namespace rfsp {
@@ -37,26 +36,22 @@ struct Row {
   // Builds the target and returns its report; built fresh per run so
   // program construction is part of the measured verifier cost, exactly
   // as verify_cli pays it.
-  analysis::StaticReport (*run)(TreeOrder order);
-  TreeOrder order;
+  analysis::StaticReport (*run)();
 };
 
 template <WriteAllAlgo Algo>
-analysis::StaticReport run_writeall_row(TreeOrder order) {
+analysis::StaticReport run_writeall_row() {
   const WriteAllConfig config{
-      .n = kN,
-      .p = Algo == WriteAllAlgo::kSequential ? Pid{1} : kP,
-      .seed = 1,
-      .layout = {.tree_order = order}};
+      .n = kN, .p = Algo == WriteAllAlgo::kSequential ? Pid{1} : kP, .seed = 1};
   analysis::VerifyOptions options;
   options.unit_cost_snapshot = Algo == WriteAllAlgo::kSnapshot;
   const std::unique_ptr<WriteAllProgram> program = make_writeall(Algo, config);
   return analysis::verify_program(*program, options);
 }
 
-analysis::StaticReport run_sim_row(TreeOrder order) {
+analysis::StaticReport run_sim_row() {
   const PrefixSumProgram inner_program({3, 1, 4, 1});
-  const SimLayout layout(inner_program, /*physical=*/3, order);
+  const SimLayout layout(inner_program, /*physical=*/3);
   const std::unique_ptr<Program> outer =
       make_simulation_program(inner_program, layout, SimInner::kX);
   analysis::VerifyOptions options;
@@ -69,22 +64,14 @@ analysis::StaticReport run_sim_row(TreeOrder order) {
 }
 
 std::vector<Row> rows() {
-  std::vector<Row> out;
-  for (const TreeOrder order : {TreeOrder::kHeap, TreeOrder::kVeb}) {
-    out.push_back({"W", run_writeall_row<WriteAllAlgo::kW>, order});
-    out.push_back({"V", run_writeall_row<WriteAllAlgo::kV>, order});
-    out.push_back({"X", run_writeall_row<WriteAllAlgo::kX>, order});
-    out.push_back(
-        {"VX", run_writeall_row<WriteAllAlgo::kCombinedVX>, order});
-  }
-  out.push_back(
-      {"snapshot", run_writeall_row<WriteAllAlgo::kSnapshot>, TreeOrder::kHeap});
-  out.push_back({"sequential", run_writeall_row<WriteAllAlgo::kSequential>,
-                 TreeOrder::kHeap});
-  out.push_back(
-      {"trivial", run_writeall_row<WriteAllAlgo::kTrivial>, TreeOrder::kHeap});
-  out.push_back({"sim-prefix-sum/X", run_sim_row, TreeOrder::kHeap});
-  return out;
+  return {{"W", run_writeall_row<WriteAllAlgo::kW>},
+          {"V", run_writeall_row<WriteAllAlgo::kV>},
+          {"X", run_writeall_row<WriteAllAlgo::kX>},
+          {"VX", run_writeall_row<WriteAllAlgo::kCombinedVX>},
+          {"snapshot", run_writeall_row<WriteAllAlgo::kSnapshot>},
+          {"sequential", run_writeall_row<WriteAllAlgo::kSequential>},
+          {"trivial", run_writeall_row<WriteAllAlgo::kTrivial>},
+          {"sim-prefix-sum/X", run_sim_row}};
 }
 
 void BM_Verify(benchmark::State& state) {
@@ -92,7 +79,7 @@ void BM_Verify(benchmark::State& state) {
   analysis::StaticReport report;
   for (auto _ : state) {
     const double secs = bench::median_seconds([&] {
-      report = row.run(row.order);
+      report = row.run();
       benchmark::DoNotOptimize(report.paths);
     });
     state.SetIterationTime(secs);
@@ -103,14 +90,13 @@ void BM_Verify(benchmark::State& state) {
   state.counters["paths"] = static_cast<double>(report.paths);
   state.counters["rounds"] = static_cast<double>(report.rounds);
   state.counters["converged"] = report.converged ? 1.0 : 0.0;
-  state.SetLabel(row.name + "/" + std::string(to_string(row.order)));
+  state.SetLabel(row.name);
 }
 
 void register_benches() {
   const std::vector<Row> all = rows();
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const std::string name = "E21/" + all[i].name + "/" +
-                             std::string(to_string(all[i].order)) +
+    const std::string name = "E21/" + all[i].name +
                              "/n:" + std::to_string(kN) +
                              "/p:" + std::to_string(kP);
     benchmark::RegisterBenchmark(name.c_str(), BM_Verify)
@@ -124,16 +110,14 @@ void register_benches() {
 // with findings (or fails to converge where convergence is expected)
 // prints its defect instead of a time.
 void print_report() {
-  Table table(
-      {"target", "order", "states", "configs", "paths", "rounds", "ms"});
+  Table table({"target", "states", "configs", "paths", "rounds", "ms"});
   for (const Row& row : rows()) {
     analysis::StaticReport report;
     const double ms =
-        1e3 * bench::median_seconds([&] { report = row.run(row.order); });
+        1e3 * bench::median_seconds([&] { report = row.run(); });
     std::string status;
     if (!report.ok()) status = "FINDINGS";
-    table.add_row({row.name, std::string(to_string(row.order)),
-                   status.empty() ? fmt_int(report.states) : status,
+    table.add_row({row.name, status.empty() ? fmt_int(report.states) : status,
                    fmt_int(report.configs), fmt_int(report.paths),
                    fmt_int(report.rounds), fmt_fixed(ms, 1)});
   }

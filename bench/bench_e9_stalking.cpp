@@ -12,6 +12,7 @@
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "util/table.hpp"
 #include "writeall/acc.hpp"
 #include "writeall/algx.hpp"
@@ -24,26 +25,24 @@ struct Outcome {
   std::uint64_t s = 0;
   std::uint64_t f = 0;
   std::uint64_t slots = 0;
-  FaultPattern pattern;
+  FaultSchedule pattern;
 };
 
 Outcome run_acc_online(Addr n, bool restart_variant, std::uint64_t seed) {
   const AccWriteAll program({.n = n, .p = static_cast<Pid>(n), .seed = seed});
-  LeafStalker adversary(program.layout(), {.restart_variant = restart_variant});
-  EngineOptions options;
-  options.record_pattern = true;
-  Engine engine(program, options);
-  const RunResult result = engine.run(adversary);
+  LeafStalker stalker(program.layout(), {.restart_variant = restart_variant});
   Outcome o;
-  if (!result.goal_met) return o;
+  RecordingAdversary adversary(stalker, o.pattern);
+  Engine engine(program);
+  const RunResult result = engine.run(adversary);
+  if (!result.goal_met) return {};
   o.s = result.tally.completed_work;
   o.f = result.tally.pattern_size();
   o.slots = result.tally.slots;
-  o.pattern = std::move(result.pattern);
   return o;
 }
 
-Outcome run_acc_offline(Addr n, const FaultPattern& pattern,
+Outcome run_acc_offline(Addr n, const FaultSchedule& pattern,
                         std::uint64_t fresh_seed) {
   ScheduledAdversary adversary(pattern);
   const auto out = run_writeall(

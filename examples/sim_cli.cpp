@@ -72,8 +72,6 @@ using namespace rfsp;
                "  --batch 1       request the batched SoA backend; the\n"
                "                  simulation program publishes no kernels yet\n"
                "                  so the engine falls back to the interpreter\n"
-               "  --tree-order O  heap|veb storage order of the inner\n"
-               "                  Write-All trees (default heap)\n"
                "  --memory-model M  reliable|faulty-cells|persistent-cache\n"
                "                  backend of the physical machine's shared\n"
                "                  memory (default reliable); checkpoints\n"
@@ -132,7 +130,6 @@ int main(int argc, char** argv) {
   const std::string audit_out = take("audit-out", "");
   const bool static_check = take("static-check", "0") != "0";
   const bool batch_on = take("batch", "0") != "0";
-  std::string tree_order_name = take("tree-order", "");
   std::string memory_model_name = take("memory-model", "");
   std::string fault_seed_s = take("fault-seed", "");
   std::string fault_cells_s = take("fault-cells", "");
@@ -153,9 +150,10 @@ int main(int argc, char** argv) {
   else if (inner_name == "V") inner = SimInner::kV;
   else if (inner_name != "VX") usage("unknown inner " + inner_name);
 
-  // Resume checkpoints load before the config is built: the memory image is
-  // layout-private, so the checkpoint's meta supplies the tree-order default
-  // and a contradicting flag is an error rather than a misread image.
+  // Resume checkpoints load before the config is built: the checkpoint's
+  // meta supplies memory-model defaults (a contradicting flag is an error
+  // rather than a misread image), and an image from another tree layout is
+  // refused.
   EngineCheckpoint resume_cp;
   const EngineCheckpoint* resume_ptr = nullptr;
   if (!resume_file.empty()) {
@@ -164,6 +162,12 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 5;
+    }
+    try {
+      require_heap_tree_order(resume_cp);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 2;
     }
     resume_ptr = &resume_cp;
     const auto meta_default = [&](std::string& value, const char* flag,
@@ -177,21 +181,17 @@ int main(int argc, char** argv) {
               it->second + "; it resumes only under the same value");
       }
     };
-    meta_default(tree_order_name, "tree-order", "tree_order");
     meta_default(memory_model_name, "memory-model", "memory_model");
     meta_default(fault_seed_s, "fault-seed", "fault_seed");
     meta_default(fault_cells_s, "fault-cells", "fault_cells");
     meta_default(fault_spares_s, "fault-spares", "fault_spares");
     meta_default(persist_every_s, "persist-every", "persist_every");
   }
-  if (tree_order_name.empty()) tree_order_name = "heap";
 
-  TreeOrder tree_order = TreeOrder::kHeap;
   MemoryModel memory_model = MemoryModel::kReliable;
   FaultyCellsOptions faulty_cells;
   PersistentCacheOptions persistent_cache;
   try {
-    tree_order = tree_order_from_string(tree_order_name);
     if (!memory_model_name.empty()) {
       memory_model = memory_model_from_string(memory_model_name);
     }
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
     // step) outside the per-cell abstract domain, so the agreement shape
     // check is left to the dynamic auditor here (docs/analysis.md).
     if (static_check) {
-      const SimLayout layout(*program, p, tree_order);
+      const SimLayout layout(*program, p);
       const std::unique_ptr<Program> outer =
           make_simulation_program(*program, layout, inner);
       analysis::VerifyOptions vopts;
@@ -328,7 +328,6 @@ int main(int argc, char** argv) {
 
     SimOptions sim_options{.physical_processors = p, .inner = inner};
     sim_options.batch = batch_on;
-    sim_options.tree_order = tree_order;
     sim_options.memory_model = memory_model;
     sim_options.faulty_cells = faulty_cells;
     sim_options.persistent_cache = persistent_cache;
@@ -338,7 +337,6 @@ int main(int argc, char** argv) {
       sim_options.checkpoint_every = checkpoint_every;
       sim_options.on_checkpoint = [&](const EngineCheckpoint& cp) {
         EngineCheckpoint stamped_cp = cp;
-        stamped_cp.meta["tree_order"] = std::string(to_string(tree_order));
         if (memory_model != MemoryModel::kReliable) {
           stamped_cp.meta["memory_model"] =
               std::string(to_string(memory_model));

@@ -14,8 +14,8 @@
 // Exit codes: 0 every report clean, 2 usage, 5 error, 6 findings.
 //
 // Examples:
-//   verify_cli                                    (W,V,X,VX x heap,veb)
-//   verify_cli --algo X --tree-order veb --n 16 --p 8
+//   verify_cli                                    (W,V,X,VX)
+//   verify_cli --algo X --n 16 --p 8
 //   verify_cli --algo all --report-out static.jsonl
 //   verify_cli --sim all --sim-n 4 --sim-p 3
 #include <fstream>
@@ -47,8 +47,6 @@ using namespace rfsp;
       "  --n N           Write-All array size (default 8)\n"
       "  --p P           processors (default 4)\n"
       "  --seed S        seed for randomized pieces (default 1)\n"
-      "  --tree-order O  heap|veb|both progress-tree storage order\n"
-      "                  (default both)\n"
       "  --sim LIST      also verify the Theorem 4.1 executor embedding\n"
       "                  these src/programs/ workloads: prefix-sum|\n"
       "                  max-reduce|list-ranking|odd-even-sort|bitonic-sort|\n"
@@ -190,7 +188,6 @@ int main(int argc, char** argv) {
   const Addr n = std::stoull(take("n", "8"));
   const Pid p = static_cast<Pid>(std::stoull(take("p", "4")));
   const std::uint64_t seed = std::stoull(take("seed", "1"));
-  const std::string tree_order_name = take("tree-order", "both");
   const Addr sim_n = std::stoull(take("sim-n", "4"));
   const Pid sim_p = static_cast<Pid>(std::stoull(take("sim-p", "3")));
   const std::string inner_name = take("inner", "VX");
@@ -210,17 +207,6 @@ int main(int argc, char** argv) {
   if (inner_name == "X") inner = SimInner::kX;
   else if (inner_name == "V") inner = SimInner::kV;
   else if (inner_name != "VX") usage("unknown inner " + inner_name);
-
-  std::vector<TreeOrder> orders;
-  if (tree_order_name == "both") {
-    orders = {TreeOrder::kHeap, TreeOrder::kVeb};
-  } else {
-    try {
-      orders = {tree_order_from_string(tree_order_name)};
-    } catch (const std::exception& e) {
-      usage(e.what());
-    }
-  }
 
   std::map<std::string, WriteAllAlgo> algo_by_name;
   for (const WriteAllAlgo algo : all_writeall_algos()) {
@@ -297,29 +283,19 @@ int main(int argc, char** argv) {
     if (!agreement_s.empty()) {
       options.check_write_agreement = agreement_s != "0";
     }
-    for (const TreeOrder order : orders) {
-      const Pid algo_p =
-          algo == WriteAllAlgo::kSequential ? Pid{1} : p;
-      const WriteAllConfig config{.n = n,
-                                  .p = algo_p,
-                                  .seed = seed,
-                                  .layout = {.tree_order = order}};
-      std::unique_ptr<WriteAllProgram> program;
-      try {
-        program = make_writeall(algo, config);
-      } catch (const std::exception& e) {
-        std::cerr << "error: " << to_string(algo) << ": " << e.what() << '\n';
-        any_error = true;
-        continue;
-      }
-      std::ostringstream title;
-      title << to_string(algo) << " n=" << n << " p=" << algo_p << " "
-            << to_string(order);
-      report_one(title.str(), *program, options);
-      // The tree layout is model-invisible; single-tree-order algorithms
-      // (trivial, sequential, snapshot, ACC prefix) still verify per order
-      // so a clean matrix really covers both navigations.
+    const Pid algo_p = algo == WriteAllAlgo::kSequential ? Pid{1} : p;
+    const WriteAllConfig config{.n = n, .p = algo_p, .seed = seed};
+    std::unique_ptr<WriteAllProgram> program;
+    try {
+      program = make_writeall(algo, config);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << to_string(algo) << ": " << e.what() << '\n';
+      any_error = true;
+      continue;
     }
+    std::ostringstream title;
+    title << to_string(algo) << " n=" << n << " p=" << algo_p;
+    report_one(title.str(), *program, options);
   }
 
   for (const std::string& name : sims) {
@@ -340,15 +316,13 @@ int main(int argc, char** argv) {
     // would report spurious disagreements. Off unless forced.
     options.check_write_agreement =
         !agreement_s.empty() && agreement_s != "0";
-    for (const TreeOrder order : orders) {
-      const SimLayout layout(*workload.program, sim_p, order);
-      const std::unique_ptr<Program> program =
-          make_simulation_program(*workload.program, layout, inner);
-      std::ostringstream title;
-      title << "sim:" << name << " n=" << sim_n << " p=" << sim_p
-            << " inner=" << inner_name << " " << to_string(order);
-      report_one(title.str(), *program, options);
-    }
+    const SimLayout layout(*workload.program, sim_p);
+    const std::unique_ptr<Program> program =
+        make_simulation_program(*workload.program, layout, inner);
+    std::ostringstream title;
+    title << "sim:" << name << " n=" << sim_n << " p=" << sim_p
+          << " inner=" << inner_name;
+    report_one(title.str(), *program, options);
   }
 
   if (any_error) return 5;

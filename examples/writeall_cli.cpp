@@ -1,6 +1,6 @@
 // writeall_cli — run any Write-All algorithm against any adversary from
-// the command line; export per-slot traces (CSV) and failure patterns
-// (text), or replay a saved pattern as an off-line adversary.
+// the command line; stream engine events (JSONL, CSV or binary) and
+// metrics, or record and replay the run's fault schedule.
 //
 // Resilience tooling (docs/resilience.md): --record captures the run's
 // fault schedule as a portable JSONL reproducer, --replay re-runs one,
@@ -19,7 +19,7 @@
 // Examples:
 //   writeall_cli --algo X --n 4096 --p 256 --adversary random --fail 0.1
 //   writeall_cli --algo VX --n 1024 --p 1024 --adversary halving
-//                --trace run.csv --pattern-out run.pattern
+//                --trace-out run.csv --record run.schedule.jsonl
 //   writeall_cli --algo X --n 1024 --p 64 --adversary random
 //                --record run.schedule.jsonl
 //   writeall_cli --replay run.schedule.jsonl
@@ -32,7 +32,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "analysis/oblivious.hpp"
@@ -75,8 +74,6 @@ using namespace rfsp;
       "  --restart PROB     random adversary restart prob (0.5)\n"
       "  --burst-period K   burst adversary period (4)\n"
       "  --burst-count K    burst adversary victims per burst (P/4)\n"
-      "  --pattern-in FILE  replay a saved pattern (off-line adversary)\n"
-      "  --pattern-out FILE save the run's failure pattern\n"
       "  --record FILE      record the fault schedule (JSONL reproducer)\n"
       "  --replay FILE      replay a recorded schedule; its meta supplies\n"
       "                     algo/n/p/seed defaults\n"
@@ -87,7 +84,6 @@ using namespace rfsp;
       "                     slot >= S (the file keeps the previous one)\n"
       "  --shrink-out FILE  on a violation, minimize the recorded schedule\n"
       "                     and save the reproducer (needs --record)\n"
-      "  --trace FILE       save the per-slot trace as CSV\n"
       "  --trace-out FILE   stream engine events to FILE (format from the\n"
       "                     extension: .csv -> csv, .bin/.rft -> binary,\n"
       "                     else JSONL; see --trace-format)\n"
@@ -99,11 +95,6 @@ using namespace rfsp;
       "  --batch 1          batched SoA backend for ported algorithms\n"
       "                     (falls back to the interpreter under --audit,\n"
       "                     task programs, or per-op hooks; bit-identical)\n"
-      "  --tree-order O     heap|veb storage order for the progress and\n"
-      "                     allocation trees (default heap; model-invisible:\n"
-      "                     tallies/traces/patterns are identical; checkpoints\n"
-      "                     record their order — --resume restores it and\n"
-      "                     refuses a contradicting flag)\n"
       "  --memory-model M   reliable|faulty-cells|persistent-cache shared-\n"
       "                     memory backend (default reliable; docs/\n"
       "                     fault-models.md). Recorded schedules and\n"
@@ -202,25 +193,20 @@ int main(int argc, char** argv) {
   const Pid burst_count =
       static_cast<Pid>(std::stoull(take("burst-count", std::to_string(
                                                            std::max(1u, p / 4)))));
-  const std::string pattern_in = take("pattern-in", "");
-  const std::string pattern_out = take("pattern-out", "");
   const std::string record_file = take("record", "");
   const std::string checkpoint_file = take("checkpoint", "");
   const Slot checkpoint_every = std::stoull(take("checkpoint-every", "0"));
   const std::string resume_file = take("resume", "");
   const Slot crash_at = std::stoull(take("crash-at-slot", "0"));
   const std::string shrink_out = take("shrink-out", "");
-  const std::string trace_file = take("trace", "");
   const std::string trace_out = take("trace-out", "");
   const std::string trace_format = take("trace-format", "");
   const std::string metrics_out = take("metrics-out", "");
   const bool show_phases = take("phases", "0") != "0";
   const bool batch_on = take("batch", "0") != "0";
-  std::string tree_order_name =
-      take("tree-order", meta_or("tree_order", ""));
   // Memory-model flags start empty: a recorded schedule's or a resumed
   // checkpoint's meta supplies the value, and an explicit flag that
-  // contradicts the meta is a usage error (same contract as --tree-order).
+  // contradicts the meta is a usage error.
   std::string memory_model_name = take("memory-model", "");
   std::string fault_seed_s = take("fault-seed", "");
   std::string fault_cells_s = take("fault-cells", "");
@@ -247,10 +233,9 @@ int main(int argc, char** argv) {
     usage("--shrink-out needs --record");
   }
 
-  // Resume checkpoints load before the config is built: the memory image
-  // silently depends on config the flags may not repeat (the tree order is
-  // layout-private), so the checkpoint's meta supplies the default and a
-  // contradicting flag is an error rather than a misread image.
+  // Resume checkpoints load before the config is built: the checkpoint's
+  // meta supplies memory-model defaults, and an image from another tree
+  // layout is refused rather than misread.
   EngineCheckpoint resume_cp;
   const EngineCheckpoint* resume_ptr = nullptr;
   if (!resume_file.empty()) {
@@ -260,18 +245,14 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << e.what() << '\n';
       return 5;
     }
-    resume_ptr = &resume_cp;
-    if (const auto it = resume_cp.meta.find("tree_order");
-        it != resume_cp.meta.end()) {
-      if (tree_order_name.empty()) {
-        tree_order_name = it->second;
-      } else if (tree_order_name != it->second) {
-        usage("checkpoint was taken under --tree-order " + it->second +
-              "; its memory image resumes only under the same order");
-      }
+    try {
+      require_heap_tree_order(resume_cp);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 2;
     }
+    resume_ptr = &resume_cp;
   }
-  if (tree_order_name.empty()) tree_order_name = "heap";
 
   // Reconcile the memory-model flags against the replay schedule's and the
   // resume checkpoint's meta: the meta supplies missing values (the run is
@@ -303,12 +284,6 @@ int main(int argc, char** argv) {
   const auto algo_it = algos.find(algo_name);
   if (algo_it == algos.end()) usage("unknown algorithm " + algo_name);
   const WriteAllAlgo algo = algo_it->second;
-  TreeOrder tree_order = TreeOrder::kHeap;
-  try {
-    tree_order = tree_order_from_string(tree_order_name);
-  } catch (const std::exception& e) {
-    usage(e.what());
-  }
   MemoryModel memory_model = MemoryModel::kReliable;
   FaultyCellsOptions faulty_cells;
   PersistentCacheOptions persistent_cache;
@@ -327,8 +302,7 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage(e.what());
   }
-  const WriteAllConfig config{
-      .n = n, .p = p, .seed = seed, .layout = {.tree_order = tree_order}};
+  const WriteAllConfig config{.n = n, .p = p, .seed = seed};
 
   // --static-check: prove the cycle contract over the program's reachable
   // state space instead of running it. Adversaries are irrelevant here —
@@ -360,13 +334,6 @@ int main(int argc, char** argv) {
     };
     if (have_replay) {
       adversary = std::make_unique<ReplayAdversary>(replay_schedule);
-    } else if (!pattern_in.empty()) {
-      std::ifstream in(pattern_in);
-      if (!in) usage("cannot read " + pattern_in);
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      adversary =
-          std::make_unique<ScheduledAdversary>(pattern_from_text(buffer.str()));
     } else if (adversary_name == "none") {
       adversary = std::make_unique<NoFailures>();
     } else if (adversary_name == "random") {
@@ -408,8 +375,6 @@ int main(int argc, char** argv) {
     options.batch = batch_on;
     options.cycle_threads = cycle_threads;
     options.bit_atomic_writes = have_replay && schedule_has_torn(replay_schedule);
-    options.record_pattern = !pattern_out.empty();
-    options.record_trace = !trace_file.empty();
     options.memory_model = memory_model;
     options.faulty_cells = faulty_cells;
     options.persistent_cache = persistent_cache;
@@ -421,7 +386,6 @@ int main(int argc, char** argv) {
     spec.seed = seed;
     spec.max_slots = max_slots;
     spec.bit_atomic_writes = options.bit_atomic_writes;
-    spec.tree_order = tree_order;
     spec.memory_model = memory_model;
     spec.faulty_cells = faulty_cells;
     spec.persistent_cache = persistent_cache;
@@ -455,7 +419,6 @@ int main(int argc, char** argv) {
           std::exit(0);
         }
         EngineCheckpoint stamped_cp = cp;
-        stamped_cp.meta["tree_order"] = std::string(to_string(tree_order));
         if (memory_model != MemoryModel::kReliable) {
           stamped_cp.meta["memory_model"] =
               std::string(to_string(memory_model));
@@ -553,8 +516,7 @@ int main(int argc, char** argv) {
     const auto& t = out.run.tally;
     std::cout << "algorithm        " << to_string(algo) << "\n"
               << "N / P            " << n << " / " << p << "\n"
-              << "adversary        "
-              << (pattern_in.empty() ? active->name() : "replay") << "\n"
+              << "adversary        " << active->name() << "\n"
               << "solved           " << (out.solved ? "yes" : "NO") << "\n"
               << "completed S      " << t.completed_work << "\n"
               << "attempted S'     " << t.attempted_work << "\n"
@@ -568,18 +530,6 @@ int main(int argc, char** argv) {
 
     dump_recording(out.solved ? ProbeStatus::kSolved : ProbeStatus::kUnsolved,
                    "");
-    if (!pattern_out.empty()) {
-      std::ofstream os(pattern_out);
-      os << pattern_to_text(out.run.pattern);
-      std::cout << "pattern saved to " << pattern_out << " ("
-                << out.run.pattern.size() << " events)\n";
-    }
-    if (!trace_file.empty()) {
-      std::ofstream os(trace_file);
-      write_trace_csv(os, out.run.trace);
-      std::cout << "trace saved to   " << trace_file << " ("
-                << out.run.trace.size() << " slots)\n";
-    }
     if (!trace_out.empty()) {
       std::cout << "events saved to  " << trace_out << "\n";
     }

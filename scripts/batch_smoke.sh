@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Batched-backend smoke check: run every batch-capable Write-All algorithm
 # at the E1 configuration (fault-free, N = P = 2^16) through writeall_cli
-# three times — interpreter, batched backend, and batched backend under the
-# vEB tree order (--tree-order veb) — and fail if any run misses the goal
-# or if any model-visible number (S, S', |F|, slots, sigma) differs
-# between the modes. The storage order is model-invisible (DESIGN.md
-# §4.10), so the veb row gates on the same tally as the heap rows. Timing
-# is printed for the log but never gated: CI machines are too noisy to
-# assert speedups, and bit-identity is the invariant worth a red build.
-# The X heap-vs-veb batch ratio is logged as one line for the record.
+# twice — interpreter and batched backend — and fail if either run misses
+# the goal or if any model-visible number (S, S', |F|, slots, sigma)
+# differs between the modes. Timing is printed for the log but never
+# gated: CI machines are too noisy to assert speedups, and bit-identity is
+# the invariant worth a red build.
 #
 # Usage: scripts/batch_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -25,19 +22,13 @@ fi
 
 n=65536
 status=0
-x_heap_batch_ms=0
-x_veb_batch_ms=0
 
 for algo in W V X VX; do
-  # mode = "<batch-flag> <tree-order>"; the first mode's tally is the
-  # reference every later mode must reproduce exactly.
-  for mode in "0 heap" "1 heap" "1 veb"; do
-    read -r batch order <<<"$mode"
+  # The interpreter's tally is the reference the batch run must reproduce.
+  for batch in 0 1; do
     start=$(date +%s%N)
-    if ! out=$("$cli" --algo "$algo" --n "$n" --p "$n" --batch "$batch" \
-               --tree-order "$order"); then
-      echo "FAIL: $algo --batch $batch --tree-order $order did not solve" \
-           "(exit $?)" >&2
+    if ! out=$("$cli" --algo "$algo" --n "$n" --p "$n" --batch "$batch"); then
+      echo "FAIL: $algo --batch $batch did not solve (exit $?)" >&2
       echo "$out" >&2
       status=1
       continue
@@ -48,29 +39,17 @@ for algo in W V X VX; do
               <<<"$out")
     if [ "$batch" = 0 ]; then
       interp_summary=$summary
-      echo "$algo interp ($order): ${elapsed_ms} ms"
+      echo "$algo interp: ${elapsed_ms} ms"
     else
-      echo "$algo batch ($order):  ${elapsed_ms} ms"
+      echo "$algo batch:  ${elapsed_ms} ms"
       if [ "$summary" != "$interp_summary" ]; then
-        echo "FAIL: $algo tally diverges (batch=$batch order=$order vs" \
-             "interpreter/heap):" >&2
+        echo "FAIL: $algo tally diverges (batch vs interpreter):" >&2
         diff <(echo "$interp_summary") <(echo "$summary") >&2 || true
         status=1
-      fi
-      if [ "$algo" = X ]; then
-        if [ "$order" = heap ]; then x_heap_batch_ms=$elapsed_ms
-        else x_veb_batch_ms=$elapsed_ms; fi
       fi
     fi
   done
 done
-
-# One-line perf record for the CI log (never gated; see the header).
-if [ "$x_heap_batch_ms" -gt 0 ] && [ "$x_veb_batch_ms" -gt 0 ]; then
-  ratio=$(awk "BEGIN { printf \"%.2f\", $x_veb_batch_ms / $x_heap_batch_ms }")
-  echo "X batch heap-vs-veb: heap ${x_heap_batch_ms} ms," \
-       "veb ${x_veb_batch_ms} ms, veb/heap ${ratio}"
-fi
 
 # Trace bit-identity across modes: the same run traced through the binary
 # sink must produce byte-identical streams from the interpreter and the

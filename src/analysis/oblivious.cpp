@@ -17,8 +17,6 @@ EngineOptions replay_options(EngineOptions options, Auditor& auditor) {
   options.metrics = nullptr;
   options.checkpoint_every = 0;
   options.on_checkpoint = nullptr;
-  options.record_pattern = false;
-  options.record_trace = false;
   return options;
 }
 
@@ -115,7 +113,6 @@ AuditedSimRun audit_simulation(const SimProgram& program, Adversary& adversary,
     opt.checkpoint_every = 0;
     opt.on_checkpoint = nullptr;
     opt.resume = nullptr;
-    opt.record_pattern = false;
     try {
       simulate(program, replayer, opt);
       diff_fingerprints(first, second, first.report_mutable(),

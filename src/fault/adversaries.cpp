@@ -94,66 +94,70 @@ void RandomAdversary::load_state(std::span<const std::uint64_t> data) {
 // ---------------------------------------------------------------------------
 // ScheduledAdversary
 
-ScheduledAdversary::ScheduledAdversary(FaultPattern pattern)
-    : pattern_(std::move(pattern)) {}
+ScheduledAdversary::ScheduledAdversary(FaultSchedule schedule)
+    : schedule_(std::move(schedule)) {
+  const auto& entries = schedule_.entries;
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].slot <= entries[i - 1].slot) {
+      throw ConfigError("schedule entries must ascend strictly by slot");
+    }
+  }
+}
 
 FaultDecision ScheduledAdversary::decide(const MachineView& view) {
   FaultDecision d;
-  const auto& events = pattern_.events();
+  const auto& entries = schedule_.entries;
   std::size_t started = 0;
   for (Pid pid = 0; pid < view.processors(); ++pid) {
     if (view.trace(pid).started) ++started;
   }
 
   std::vector<std::uint8_t> failing(view.processors(), 0);
-  while (next_event_ < events.size() && events[next_event_].time <= view.slot()) {
-    const FaultEvent& e = events[next_event_++];
-    const Pid pid = e.pid;
-    if (pid >= view.processors()) {
+  const auto fail = [&](Pid pid) {
+    const bool live = pid < view.processors() &&
+                      view.status(pid) == ProcStatus::kLive &&
+                      view.trace(pid).started;
+    // Keep at least one started cycle alive (self-clamp; see header).
+    if (!live || failing[pid] || d.fail_mid_cycle.size() + 1 >= started) {
       ++skipped_;
-      continue;
+      return;
     }
-    if (e.tag == FaultTag::kFailure) {
-      const bool live =
-          view.status(pid) == ProcStatus::kLive && view.trace(pid).started;
-      if (!live || failing[pid]) {
-        ++skipped_;
-        continue;
-      }
-      // Keep at least one started cycle alive (self-clamp; see header).
-      if (d.fail_mid_cycle.size() + 1 >= started) {
-        ++skipped_;
-        continue;
-      }
-      d.fail_mid_cycle.push_back(pid);
-      failing[pid] = 1;
-    } else {
-      const bool restartable =
-          view.status(pid) == ProcStatus::kFailed || failing[pid];
-      if (!restartable) {
-        ++skipped_;
-        continue;
-      }
-      if (std::find(d.restart.begin(), d.restart.end(), pid) !=
-          d.restart.end()) {
-        ++skipped_;
-        continue;
-      }
-      d.restart.push_back(pid);
+    d.fail_mid_cycle.push_back(pid);
+    failing[pid] = 1;
+  };
+  const auto restart = [&](Pid pid) {
+    const bool restartable =
+        pid < view.processors() &&
+        (view.status(pid) == ProcStatus::kFailed || failing[pid]);
+    if (!restartable || std::find(d.restart.begin(), d.restart.end(), pid) !=
+                            d.restart.end()) {
+      ++skipped_;
+      return;
     }
+    d.restart.push_back(pid);
+  };
+
+  while (next_entry_ < entries.size() &&
+         entries[next_entry_].slot <= view.slot()) {
+    const FaultDecision& e = entries[next_entry_++].decision;
+    for (const Pid pid : e.fail_mid_cycle) fail(pid);
+    for (const Pid pid : e.fail_after_cycle) fail(pid);
+    for (const TornWrite& tear : e.torn) fail(tear.pid);
+    for (const Pid pid : e.restart) restart(pid);
+    skipped_ += e.cell_faults.size() + e.cache_drop.size();
   }
   return d;
 }
 
 void ScheduledAdversary::save_state(std::vector<std::uint64_t>& out) const {
   U64Writer w(out);
-  w.put(next_event_);
+  w.put(next_entry_);
   w.put(skipped_);
 }
 
 void ScheduledAdversary::load_state(std::span<const std::uint64_t> data) {
   U64Reader r(data);
-  next_event_ = static_cast<std::size_t>(r.get());
+  next_entry_ = static_cast<std::size_t>(r.get());
   skipped_ = r.get();
 }
 

@@ -4,8 +4,9 @@
 //  * RandomAdversary   — i.i.d. failures/restarts (the "particular random
 //                        failure model" discussed for [KPS 90]); self-clamps
 //                        to respect model constraint 2(i).
-//  * ScheduledAdversary— replays a pre-scripted FaultPattern: an *off-line*
-//                        (non-adaptive) adversary in the sense of §5.
+//  * ScheduledAdversary— replays a pre-scripted FaultSchedule as failure and
+//                        restart events: an *off-line* (non-adaptive)
+//                        adversary in the sense of §5.
 //  * BurstAdversary    — deterministically fails (and by default immediately
 //                        restarts) `count` processors every `period` slots;
 //                        the knob used by experiments that sweep M = |F|.
@@ -20,6 +21,7 @@
 #include <optional>
 
 #include "fault/adversary.hpp"
+#include "replay/schedule.hpp"
 #include "util/rng.hpp"
 
 namespace rfsp {
@@ -60,12 +62,18 @@ class RandomAdversary final : public Adversary {
 
 class ScheduledAdversary final : public Adversary {
  public:
-  // Events whose targets are in the wrong state when their slot arrives are
-  // skipped (counted in `skipped()`); if applying the slot's failures would
-  // abort every started cycle, failures are dropped from the back until one
-  // survivor remains (off-line patterns cannot adapt, the model still must
-  // hold). Pattern events must be in non-decreasing time order.
-  explicit ScheduledAdversary(FaultPattern pattern);
+  // Each entry is read as Definition 2.1's <tag, PID, t> triples at
+  // t = entry.slot: every `mid`, `after` and `torn` PID becomes a mid-cycle
+  // failure, then every `restart` PID a restart, in that order. Unlike
+  // ReplayAdversary this tolerates a schedule recorded under other coins:
+  // events whose targets are in the wrong state when their slot arrives
+  // are skipped (counted in `skipped()`), and if applying the slot's
+  // failures would abort every started cycle, failures are dropped from
+  // the back until one survivor remains (off-line patterns cannot adapt,
+  // the model still must hold). Memory-model moves (`cells`, `drop`) are
+  // not replayed and count as skipped. Entries must ascend strictly by
+  // slot (ConfigError otherwise).
+  explicit ScheduledAdversary(FaultSchedule schedule);
 
   std::string_view name() const override { return "scheduled"; }
   FaultDecision decide(const MachineView& view) override;
@@ -76,8 +84,8 @@ class ScheduledAdversary final : public Adversary {
   std::uint64_t skipped() const { return skipped_; }
 
  private:
-  FaultPattern pattern_;
-  std::size_t next_event_ = 0;
+  FaultSchedule schedule_;
+  std::size_t next_entry_ = 0;
   std::uint64_t skipped_ = 0;
 };
 

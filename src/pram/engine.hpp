@@ -26,7 +26,6 @@
 
 #include "accounting/tally.hpp"
 #include "fault/adversary.hpp"
-#include "fault/pattern.hpp"
 #include "pram/memory.hpp"
 #include "pram/program.hpp"
 #include "pram/soa.hpp"
@@ -105,11 +104,11 @@ struct EngineCheckpoint {
   std::vector<Addr> injected_faults;
 
   // Free-form context the *saver* attaches (the engine never writes it).
-  // The CLIs record config the memory image silently depends on — today
-  // "tree_order", whose mismatch on resume would reinterpret the layout-
-  // private tree cells under the wrong addresses — and refuse to resume
-  // under contradicting flags. Empty maps serialize to nothing, so
-  // meta-free checkpoints are byte-identical to the pre-meta format.
+  // The CLIs record the memory model the image depends on and refuse to
+  // resume under contradicting flags; they also refuse a "tree_order" key
+  // naming anything but "heap" (require_heap_tree_order in
+  // replay/checkpoint.hpp). Empty maps serialize to nothing, so meta-free
+  // checkpoints are byte-identical to the pre-meta format.
   std::map<std::string, std::string> meta;
 
   friend bool operator==(const EngineCheckpoint&,
@@ -172,13 +171,6 @@ struct EngineOptions {
   // check needs the log (model == kErew && detect_read_conflicts).
   bool log_reads = false;
 
-  // Record the full failure pattern (can be large) into RunResult::pattern.
-  bool record_pattern = false;
-
-  // Record the per-slot time series (started/completed/failures/restarts)
-  // into RunResult::trace — one SlotStats per slot.
-  bool record_trace = false;
-
   // Use Program::goal_cells (when the program provides it) to track goal
   // satisfaction incrementally at commit time instead of calling
   // Program::goal once per slot. Results are identical by the goal_cells
@@ -208,8 +200,8 @@ struct EngineOptions {
   // Deterministic parallel cycle execution: values > 1 step the live
   // processors' update cycles across a pool of this many OS threads.
   // Each processor's reads/writes/trace stay in per-processor buffers and
-  // commits replay in PID order, so the RunResult (tally, memory, trace,
-  // pattern) is bit-identical to a sequential (cycle_threads <= 1) run.
+  // commits replay in PID order, so the RunResult (tally, memory, trace
+  // stream) is bit-identical to a sequential (cycle_threads <= 1) run.
   // Only the cycle execution parallelizes; the adversary and the commit
   // remain on the calling thread.
   unsigned cycle_threads = 1;
@@ -301,8 +293,6 @@ struct RunResult {
   bool goal_met = false;    // Program::goal held
   bool deadlock = false;    // every processor halted but the goal is unmet
   bool slot_limit = false;  // max_slots exhausted
-  FaultPattern pattern;     // populated iff EngineOptions::record_pattern
-  std::vector<SlotStats> trace;  // populated iff EngineOptions::record_trace
 
   // Per-phase S/S'/|F| breakdown; populated iff phase attribution ran
   // (sink or attribute_phases, and the program published a PhaseSchedule).
@@ -467,8 +457,8 @@ class Engine {
   std::vector<std::vector<std::vector<Pid>>> batch_buckets_;
   // Whether batched kernels materialize per-PID CycleTraces. False — the
   // oblivious fast path — when the adversary declares it never reads cycle
-  // internals (Adversary::inspects_cycles), torn writes are off, and no
-  // trace recording wants the data; the engine then maintains only the
+  // internals (Adversary::inspects_cycles) and torn writes are off
+  // (EngineOptions::bit_atomic_writes); the engine then maintains only the
   // `started` flags (set at boot/restart, cleared by fail/halt), which is
   // all such adversaries and validate_decision consult. Decided per run.
   bool batch_traces_ = true;

@@ -231,4 +231,13 @@ EngineCheckpoint load_checkpoint(const std::string& path) {
   return checkpoint_from_json(buf.str());
 }
 
+void require_heap_tree_order(const EngineCheckpoint& cp) {
+  const auto it = cp.meta.find("tree_order");
+  if (it != cp.meta.end() && it->second != "heap") {
+    throw ConfigError("checkpoint holds a '" + it->second +
+                      "' tree-order memory image; only heap-order "
+                      "checkpoints can be resumed");
+  }
+}
+
 }  // namespace rfsp

@@ -14,8 +14,8 @@
 //                               // persistent-cache memory model
 //    "faults":[...],            // adversary-injected dead cells; only under
 //                               // faulty-cells with injections
-//    "meta":{"tree_order":"veb"}} // optional saver-attached context; omitted
-//                                 // when empty (old documents parse as-is)
+//    "meta":{"note":"..."}}     // optional saver-attached context; omitted
+//                               // when empty (old documents parse as-is)
 //
 // The optional keys ("persists" in tally, "caches", "faults", "meta") are
 // omitted when empty/zero, so reliable-model checkpoints stay byte-identical
@@ -38,5 +38,11 @@ EngineCheckpoint checkpoint_from_json(std::string_view text);  // ConfigError
 // File I/O convenience (throws ConfigError on I/O failure).
 void save_checkpoint(const EngineCheckpoint& cp, const std::string& path);
 EngineCheckpoint load_checkpoint(const std::string& path);
+
+// Throws ConfigError when cp.meta names a "tree_order" other than "heap":
+// such a memory image was saved under the van Emde Boas tree layout, which
+// stored the tree cells at other addresses and has been removed, so
+// resuming it would misread every tree. Checkpoints without the key pass.
+void require_heap_tree_order(const EngineCheckpoint& cp);
 
 }  // namespace rfsp

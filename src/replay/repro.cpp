@@ -79,10 +79,6 @@ ReproSpec spec_from_meta(const FaultSchedule& schedule) {
       it != schedule.meta.end()) {
     spec.bit_atomic_writes = parse_u64_meta("bit_atomic", it->second) != 0;
   }
-  if (const auto it = schedule.meta.find("tree_order");
-      it != schedule.meta.end()) {
-    spec.tree_order = tree_order_from_string(it->second);
-  }
   if (const auto it = schedule.meta.find("memory_model");
       it != schedule.meta.end()) {
     spec.memory_model = memory_model_from_string(it->second);
@@ -115,11 +111,8 @@ void write_meta(ReproSpec spec, FaultSchedule& schedule, ProbeStatus expected,
   schedule.meta["seed"] = std::to_string(spec.seed);
   schedule.meta["max_slots"] = std::to_string(spec.max_slots);
   if (spec.bit_atomic_writes) schedule.meta["bit_atomic"] = "1";
-  if (spec.tree_order != TreeOrder::kHeap) {
-    schedule.meta["tree_order"] = std::string(to_string(spec.tree_order));
-  }
-  // Memory-model keys follow the tree_order pattern: emitted only away from
-  // the defaults, so reliable-model schedules keep their old meta shape.
+  // Memory-model keys are emitted only away from the defaults, so
+  // reliable-model schedules keep their old meta shape.
   if (spec.memory_model != MemoryModel::kReliable) {
     schedule.meta["memory_model"] = std::string(to_string(spec.memory_model));
   }
@@ -145,7 +138,6 @@ ProbeResult probe(const ReproSpec& spec, const FaultSchedule& schedule) {
   config.n = spec.n;
   config.p = spec.p;
   config.seed = spec.seed;
-  config.layout.tree_order = spec.tree_order;
   EngineOptions options;
   options.max_slots = spec.max_slots;
   // Torn-write moves are only legal in the bit-atomic model; honoring them

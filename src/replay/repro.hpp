@@ -45,14 +45,8 @@ struct ReproSpec {
   std::uint64_t seed = 0;   // randomized algorithms (ACC)
   Slot max_slots = Slot{1} << 20;
   bool bit_atomic_writes = false;  // required to replay torn-write moves
-  // Tree storage order the run used. Replays are layout-independent (the
-  // adversary's decisions key on pids/slots, never addresses), but the
-  // recorded order keeps the reproducer byte-faithful to the original run's
-  // memory image, e.g. for checkpoint comparisons.
-  TreeOrder tree_order = TreeOrder::kHeap;
   // Memory model the run used (pram/faults.hpp, docs/fault-models.md).
-  // Unlike tree_order this is semantic, not just layout: replaying a
-  // faulty-cells or persistent-cache schedule under the wrong model either
+  // This is semantic: replaying a faulty-cells or persistent-cache schedule under the wrong model either
   // rejects its moves (AdversaryViolation) or changes the outcome, so the
   // meta keys below make the reproducer carry its model with it.
   MemoryModel memory_model = MemoryModel::kReliable;
@@ -61,7 +55,9 @@ struct ReproSpec {
 };
 
 // Meta round-trip. spec_from_meta throws ConfigError when "algo"/"n"/"p"
-// are missing or malformed; write_meta also records `status` (the expected
+// are missing or malformed and ignores keys it does not know (a
+// "tree_order" key included: the tree order is model-invisible, so such a
+// schedule replays to the same tally); write_meta also records `status` (the expected
 // replay outcome) and an optional free-text note.
 ReproSpec spec_from_meta(const FaultSchedule& schedule);
 void write_meta(ReproSpec spec, FaultSchedule& schedule,

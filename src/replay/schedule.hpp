@@ -73,6 +73,9 @@ class RecordingAdversary final : public Adversary {
 
   std::string_view name() const override { return inner_.name(); }
   FaultDecision decide(const MachineView& view) override;
+  // Recording reads only the returned decision, so the wrapper keeps the
+  // inner adversary's claim (and with it the batched fast path).
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
   void save_state(std::vector<std::uint64_t>& out) const override {
     inner_.save_state(out);
   }
@@ -95,6 +98,9 @@ class ReplayAdversary final : public Adversary {
 
   std::string_view name() const override { return "replay"; }
   FaultDecision decide(const MachineView& view) override;
+  // decide() reads only the slot. Replayed torn writes need the buffered
+  // writes, but those runs set bit_atomic_writes, which keeps traces on.
+  bool inspects_cycles() const override { return false; }
   void save_state(std::vector<std::uint64_t>& out) const override {
     out.push_back(cursor_);
   }

@@ -201,8 +201,7 @@ class CommitTask final : public TaskSpec {
 // ---------------------------------------------------------------------------
 // SimLayout
 
-SimLayout::SimLayout(const SimProgram& program, Pid physical,
-                     TreeOrder tree_order)
+SimLayout::SimLayout(const SimProgram& program, Pid physical)
     : n(program.processors()),
       p(physical == 0 ? program.processors() : physical),
       data_cells(program.memory_cells()),
@@ -233,10 +232,8 @@ SimLayout::SimLayout(const SimProgram& program, Pid physical,
                             : 0;
   const Addr markers = commit_markers + commit_marker_cells;
   const Addr aux = markers + n;
-  wa_compute = CombinedLayout(markers, aux, n, p, compute_cycles,
-                              /*leaf_elems=*/0, tree_order);
-  wa_commit = CombinedLayout(markers, aux, n, p, commit_cycles,
-                             /*leaf_elems=*/0, tree_order);
+  wa_compute = CombinedLayout(markers, aux, n, p, compute_cycles);
+  wa_commit = CombinedLayout(markers, aux, n, p, commit_cycles);
   RFSP_CHECK(wa_compute.aux_end() == wa_commit.aux_end());
   total = wa_compute.aux_end();
 }
@@ -398,9 +395,6 @@ class SimProcState final : public ProcessorState {
     config_.p = layout.p;
     config_.stamp = stamp;
     config_.task = task_.get();
-    // The inner states take their tree addresses from `wa`, but keep the
-    // config's record consistent with the layout it binds to.
-    config_.layout.tree_order = wa.x.nav.order();
     switch (outer_.inner()) {
       case SimInner::kCombinedVX:
         inner_ = std::make_unique<CombinedState>(config_, wa, pid_, start);
@@ -454,8 +448,7 @@ std::unique_ptr<Program> make_simulation_program(const SimProgram& program,
 
 SimResult simulate(const SimProgram& program, Adversary& adversary,
                    SimOptions options) {
-  const SimLayout layout(program, options.physical_processors,
-                         options.tree_order);
+  const SimLayout layout(program, options.physical_processors);
   const SimulationProgram outer(program, layout, options.inner);
 
   EngineOptions eopt;
@@ -465,7 +458,6 @@ SimResult simulate(const SimProgram& program, Adversary& adversary,
   eopt.write_budget = 2;
   eopt.max_slots = options.max_slots;
   eopt.batch = options.batch;
-  eopt.record_pattern = options.record_pattern;
   eopt.sink = options.sink;
   eopt.metrics = options.metrics;
   // ARBITRARY programs run on a fail-stop machine "of the same type"
@@ -489,7 +481,6 @@ SimResult simulate(const SimProgram& program, Adversary& adversary,
   SimResult result;
   result.tally = run.tally;
   result.completed = run.goal_met;
-  result.pattern = std::move(run.pattern);
   result.passes = phase_pass(engine.memory().read(layout.phase));
   result.memory.reserve(layout.data_cells);
   for (Addr i = 0; i < layout.data_cells; ++i) {

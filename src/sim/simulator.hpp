@@ -42,17 +42,11 @@ struct SimOptions {
   Pid physical_processors = 0;  // P (1 <= P <= N); 0 = P = N
   SimInner inner = SimInner::kCombinedVX;
   Slot max_slots = Slot{1} << 26;
-  bool record_pattern = false;
   // Batched-backend passthrough (EngineOptions::batch). The simulation
   // program does not publish cycle kernels today, so this is forwarded for
   // interface parity and falls back to the interpreter; it becomes live the
   // moment the simulation's pass programs gain kernels.
   bool batch = false;
-  // Storage order of the inner Write-All instances' progress/allocation
-  // trees (writeall/layout.hpp). Model-invisible: tallies and traces are
-  // identical across orders; only tree-cell addresses (and so memory
-  // images/checkpoints) differ.
-  TreeOrder tree_order = TreeOrder::kHeap;
   // Observability passthrough (see obs/trace.hpp, obs/metrics.hpp): the
   // engine emits slot/failure/restart/halt events to `sink` and run totals
   // into `metrics`. The simulation has no fixed-length phase structure
@@ -91,13 +85,11 @@ struct SimResult {
   bool completed = false;        // all τ steps simulated
   std::vector<Word> memory;      // final simulated shared memory
   std::uint64_t passes = 0;      // Write-All passes executed (2τ)
-  FaultPattern pattern;          // iff record_pattern
 };
 
 // Memory map of a simulation run (exposed for tests and adversaries).
 struct SimLayout {
-  SimLayout(const SimProgram& program, Pid physical,
-            TreeOrder tree_order = TreeOrder::kHeap);
+  SimLayout(const SimProgram& program, Pid physical);
 
   Pid n = 0;          // simulated processors
   Pid p = 0;          // physical processors

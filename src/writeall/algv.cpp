@@ -11,8 +11,7 @@ namespace rfsp {
 // VLayout
 
 VLayout::VLayout(Addr x_base_in, Addr aux_base, Addr n_in, Pid p_in,
-                 unsigned task_cycles, Addr leaf_elems_override,
-                 TreeOrder order)
+                 unsigned task_cycles, Addr leaf_elems_override)
     : n(n_in), p(p_in) {
   RFSP_CHECK(n >= 1 && p >= 1);
   // B ≈ log2 N elements per leaf ("there are log N array elements per
@@ -30,7 +29,6 @@ VLayout::VLayout(Addr x_base_in, Addr aux_base, Addr n_in, Pid p_in,
   depth = ceil_log2(leaves);
   x_base = x_base_in;
   c_base = aux_base;
-  nav = TreeNav(depth + 1, order);
   phase_alloc = depth;
   phase_work = elems_per_leaf * (static_cast<Slot>(task_cycles) + 1);
   phase_update = static_cast<Slot>(depth) + 1;
@@ -225,8 +223,7 @@ bool AlgVState::update_cycle(CycleContext& ctx, Slot m) {
 AlgV::AlgV(WriteAllConfig config)
     : WriteAllProgram(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
-              config_.task_cycles(), config_.leaf_elems,
-              config_.layout.tree_order) {}
+              config_.task_cycles(), config_.leaf_elems) {}
 
 std::unique_ptr<ProcessorState> AlgV::boot(Pid pid) const {
   return std::make_unique<AlgVState>(config_, layout_, pid);

@@ -34,7 +34,7 @@ namespace rfsp {
 
 struct VLayout {
   VLayout(Addr x_base, Addr aux_base, Addr n, Pid p, unsigned task_cycles,
-          Addr leaf_elems_override = 0, TreeOrder order = TreeOrder::kHeap);
+          Addr leaf_elems_override = 0);
 
   Addr n = 0;
   Pid p = 0;
@@ -46,9 +46,6 @@ struct VLayout {
   Addr x_base = 0;
   Addr c_base = 0;  // progress tree c[1 .. 2·leaves - 1]: visited-leaf counts
 
-  // Storage order of the c tree; node ids stay logical everywhere else.
-  TreeNav nav;
-
   // Fixed phase lengths (in slots) and the iteration length T_iter.
   Slot phase_alloc = 0;  // depth
   Slot phase_work = 0;   // B · (task_cycles + 1)
@@ -56,7 +53,7 @@ struct VLayout {
   Slot iteration = 0;
 
   Addr x(Addr i) const { return x_base + i; }
-  Addr c(Addr node) const { return c_base + nav.pos(node); }
+  Addr c(Addr node) const { return c_base + TreeNav::pos(node); }
   Addr aux_end() const { return c_base + (2 * leaves - 1); }
 
   Addr leaf_node(Addr leaf) const { return leaves + leaf; }

@@ -10,13 +10,11 @@ namespace rfsp {
 // ---------------------------------------------------------------------------
 // WLayout
 
-WLayout::WLayout(Addr x_base, Addr aux_base, Addr n, Pid p, TreeOrder order)
-    : progress(x_base, aux_base, n, p, /*task_cycles=*/0,
-               /*leaf_elems_override=*/0, order),
+WLayout::WLayout(Addr x_base, Addr aux_base, Addr n, Pid p)
+    : progress(x_base, aux_base, n, p, /*task_cycles=*/0),
       p_pad(static_cast<Pid>(ceil_pow2(p))),
       p_depth(ceil_log2(ceil_pow2(p))),
-      cnt_base(progress.aux_end()),
-      cnt_nav(p_depth + 1, order) {
+      cnt_base(progress.aux_end()) {
   phase_count = 1 + static_cast<Slot>(p_depth) + 1;
   iteration = phase_count + progress.phase_alloc + progress.phase_work +
               progress.phase_update;
@@ -187,8 +185,7 @@ bool AlgWState::update_cycle(CycleContext& ctx, Slot m) {
 
 AlgW::AlgW(WriteAllConfig config)
     : WriteAllProgram(config),
-      layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
-              config_.layout.tree_order) {
+      layout_(config_.base, config_.base + config_.n, config_.n, config_.p) {
   if (config_.task != nullptr || config_.stamp != 0) {
     throw ConfigError(
         "AlgW is a standalone baseline: no TaskSpec, no epoch stamping");

@@ -37,22 +37,17 @@
 namespace rfsp {
 
 struct WLayout {
-  WLayout(Addr x_base, Addr aux_base, Addr n, Pid p,
-          TreeOrder order = TreeOrder::kHeap);
+  WLayout(Addr x_base, Addr aux_base, Addr n, Pid p);
 
   VLayout progress;   // reuse V's progress-tree geometry (B ≈ log N)
   Pid p_pad = 0;      // counting tree leaves (P padded to a power of two)
   unsigned p_depth = 0;
   Addr cnt_base = 0;  // cnt[1 .. 2·p_pad - 1]
 
-  // Storage order of the counting tree (the progress tree's order lives in
-  // progress.nav); node ids stay logical everywhere else.
-  TreeNav cnt_nav;
-
   Slot phase_count = 0;  // 1 (leaf write) + p_depth (climb) + 1 (read total)
   Slot iteration = 0;
 
-  Addr cnt(Addr node) const { return cnt_base + cnt_nav.pos(node); }
+  Addr cnt(Addr node) const { return cnt_base + TreeNav::pos(node); }
   Addr cnt_leaf(Pid pid) const { return static_cast<Addr>(p_pad) + pid; }
   Addr aux_end() const { return cnt_base + (2 * static_cast<Addr>(p_pad) - 1); }
 };

@@ -8,11 +8,10 @@ namespace rfsp {
 // ---------------------------------------------------------------------------
 // XLayout
 
-XLayout::XLayout(Addr x_base_in, Addr aux_base, Addr n_in, Pid p_in,
-                 TreeOrder order)
+XLayout::XLayout(Addr x_base_in, Addr aux_base, Addr n_in, Pid p_in)
     : n(n_in), n_pad(ceil_pow2(n_in)), height(ceil_log2(ceil_pow2(n_in))),
       p(p_in), x_base(x_base_in), d_base(aux_base),
-      w_base(aux_base + (2 * ceil_pow2(n_in) - 1)), nav(height + 1, order) {
+      w_base(aux_base + (2 * ceil_pow2(n_in) - 1)) {
   RFSP_CHECK(n >= 1 && p >= 1);
 }
 
@@ -224,8 +223,7 @@ bool AlgXState::navigate(CycleContext& ctx) {
 
 AlgX::AlgX(WriteAllConfig config)
     : WriteAllProgram(config),
-      layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
-              config_.layout.tree_order) {}
+      layout_(config_.base, config_.base + config_.n, config_.n, config_.p) {}
 
 std::unique_ptr<ProcessorState> AlgX::boot(Pid pid) const {
   return std::make_unique<AlgXState>(config_, layout_, pid);

@@ -43,8 +43,7 @@ namespace rfsp {
 // X over one output array); the auxiliary region (d heap + w array) is
 // private to this instance.
 struct XLayout {
-  XLayout(Addr x_base, Addr aux_base, Addr n, Pid p,
-          TreeOrder order = TreeOrder::kHeap);
+  XLayout(Addr x_base, Addr aux_base, Addr n, Pid p);
 
   Addr n = 0;      // real array size
   Addr n_pad = 0;  // padded to a power of two; the d heap has n_pad leaves
@@ -55,12 +54,8 @@ struct XLayout {
   Addr d_base = 0;  // d[1 .. 2·n_pad - 1], 1-indexed logical ids
   Addr w_base = 0;  // w[0 .. p)
 
-  // Storage order of the d tree. Node ids (in w payloads, descents, and
-  // checkpoints) are always logical; only d() depends on the order.
-  TreeNav nav;
-
   Addr x(Addr i) const { return x_base + i; }
-  Addr d(Addr node) const { return d_base + nav.pos(node); }
+  Addr d(Addr node) const { return d_base + TreeNav::pos(node); }
   Addr w(Pid pid) const { return w_base + pid; }
   Addr aux_end() const { return w_base + p; }
 

@@ -3,11 +3,10 @@
 namespace rfsp {
 
 CombinedLayout::CombinedLayout(Addr x_base, Addr aux_base, Addr n, Pid p,
-                               unsigned task_cycles, Addr leaf_elems,
-                               TreeOrder order)
+                               unsigned task_cycles, Addr leaf_elems)
     : done(aux_base),
-      v(x_base, aux_base + 1, n, p, task_cycles, leaf_elems, order),
-      x(x_base, v.aux_end(), n, p, order) {}
+      v(x_base, aux_base + 1, n, p, task_cycles, leaf_elems),
+      x(x_base, v.aux_end(), n, p) {}
 
 CombinedState::CombinedState(const WriteAllConfig& config,
                              const CombinedLayout& layout, Pid pid,
@@ -44,8 +43,7 @@ void CombinedState::load_words(WordReader& r) {
 CombinedVX::CombinedVX(WriteAllConfig config)
     : WriteAllProgram(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
-              config_.task_cycles(), config_.leaf_elems,
-              config_.layout.tree_order) {}
+              config_.task_cycles(), config_.leaf_elems) {}
 
 std::unique_ptr<ProcessorState> CombinedVX::boot(Pid pid) const {
   return std::make_unique<CombinedState>(config_, layout_, pid);

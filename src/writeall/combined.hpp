@@ -26,8 +26,7 @@ namespace rfsp {
 
 struct CombinedLayout {
   CombinedLayout(Addr x_base, Addr aux_base, Addr n, Pid p,
-                 unsigned task_cycles, Addr leaf_elems = 0,
-                 TreeOrder order = TreeOrder::kHeap);
+                 unsigned task_cycles, Addr leaf_elems = 0);
 
   Addr done = 0;  // shared completion flag (stamped)
   VLayout v;

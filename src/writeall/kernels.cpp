@@ -74,23 +74,7 @@ inline void expect_word(WordReader& r, std::uint64_t want, const char* what) {
 // in shared memory (w[pid]), so the lane body is a pure function of the
 // slot-start memory — shared verbatim by the standalone X kernel and the
 // odd slots of the combined kernel.
-//
-// The hot path is templated on the tree storage order: X is the one
-// algorithm whose per-cycle work is dominated by d-cell address
-// computation and the resulting misses, so the heap mapping (a subtract)
-// must not pay for vEB's step loop, and the vEB mapping wants the loop
-// inlined against a constant table shape.
 
-template <TreeOrder Order>
-inline Addr x_d_addr(const XLayout& lay, Addr node) {
-  if constexpr (Order == TreeOrder::kHeap) {
-    return lay.d_base + node - 1;
-  } else {
-    return lay.d_base + lay.nav.veb_pos(node);
-  }
-}
-
-template <TreeOrder Order>
 void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
                      const std::optional<Addr>& done_flag,
                      std::span<const Word> mem, Pid pid, LaneEmit& em) {
@@ -114,10 +98,9 @@ void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
   RFSP_CHECK_MSG(pos >= 1 && pos < 2 * lay.n_pad,
                  "corrupt traversal position");
 
-  // One storage lookup for d[pos] per lane-slot: the done read and the
-  // leaf/interior marks all reuse this address (for vEB each lookup is a
-  // step-table walk, and this cycle touches d[pos] up to twice).
-  const Addr pos_addr = x_d_addr<Order>(lay, pos);
+  // One address for d[pos] per lane-slot: the done read and the
+  // leaf/interior marks all reuse it.
+  const Addr pos_addr = lay.d(pos);
   const bool done = payload_of(mem[pos_addr], stamp) != 0;
   if (done) {
     const Addr up = TreeNav::parent(pos);
@@ -147,16 +130,9 @@ void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
   const unsigned depth = floor_log2(pos);
   const Addr left = TreeNav::left(pos);
   const Addr right = left + 1;
-  // The right sibling sits a per-depth constant past the left child, so one
-  // lookup addresses both children (heap: adjacent cells; vEB: the stride
-  // of the step consuming path bit 0 at the children's depth).
-  const Addr left_addr = x_d_addr<Order>(lay, left);
-  Addr right_addr;
-  if constexpr (Order == TreeOrder::kHeap) {
-    right_addr = left_addr + 1;
-  } else {
-    right_addr = left_addr + lay.nav.sibling_stride(depth + 1);
-  }
+  // Siblings are adjacent cells, so one address covers both children.
+  const Addr left_addr = lay.d(left);
+  const Addr right_addr = left_addr + 1;
   const bool left_done =
       lay.structurally_done(left) ||
       payload_of(mem[left_addr], stamp) != 0;
@@ -184,7 +160,6 @@ void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
 // Classifying the future lane costs only its w cell (sequential, cheap);
 // from the position we can prefetch exactly what the lane body will read —
 // its d cell, plus the children (interior) or the x element (leaf).
-template <TreeOrder Order>
 void x_navigate_group(const WriteAllConfig& config, const XLayout& lay,
                       const std::optional<Addr>& done_flag,
                       const BatchContext& ctx, std::span<const Pid> pids) {
@@ -197,21 +172,20 @@ void x_navigate_group(const WriteAllConfig& config, const XLayout& lay,
       if (fwv != 0 && fwv != static_cast<Word>(lay.exited())) {
         const Addr fpos = static_cast<Addr>(fwv);
         if (fpos >= 1 && fpos < 2 * lay.n_pad) {
-          RFSP_PREFETCH(&mem[x_d_addr<Order>(lay, fpos)]);
+          RFSP_PREFETCH(&mem[lay.d(fpos)]);
           if (fpos >= lay.n_pad) {
             const Addr element = fpos - lay.n_pad;
             if (element < lay.n) RFSP_PREFETCH(&mem[lay.x(element)]);
           } else {
-            // Left child only: the right sibling is 1 cell away (heap) or
-            // inside the same vEB bottom block, so one line usually covers
-            // both and the second lookup isn't worth its address walk.
-            RFSP_PREFETCH(&mem[x_d_addr<Order>(lay, TreeNav::left(fpos))]);
+            // Left child only: the right sibling is the next cell, so one
+            // line usually covers both.
+            RFSP_PREFETCH(&mem[lay.d(TreeNav::left(fpos))]);
           }
         }
       }
     }
     LaneEmit em(ctx, pids[i]);
-    x_navigate_lane<Order>(config, lay, done_flag, mem, pids[i], em);
+    x_navigate_lane(config, lay, done_flag, mem, pids[i], em);
   }
 }
 
@@ -733,9 +707,7 @@ class VBatchKernel final : public BatchKernel {
 
 // ---------------------------------------------------------------------------
 // Algorithm X kernel (PID-bit descent; no private registers at all).
-// Templated on the tree storage order — see x_navigate_lane.
 
-template <TreeOrder Order>
 class XBatchKernel final : public BatchKernel {
  public:
   XBatchKernel(const WriteAllConfig& config, const XLayout& layout)
@@ -750,7 +722,7 @@ class XBatchKernel final : public BatchKernel {
 
   void run(std::uint32_t /*ctrl*/, std::span<const Pid> pids,
            const BatchContext& ctx, SoaStore& /*soa*/) const override {
-    x_navigate_group<Order>(config_, layout_, std::nullopt, ctx, pids);
+    x_navigate_group(config_, layout_, std::nullopt, ctx, pids);
   }
 
   void save_lane(const SoaStore& /*soa*/, Pid /*pid*/,
@@ -779,7 +751,6 @@ class XBatchKernel final : public BatchKernel {
 // private registers, so the combined lane state is V's registers plus the
 // waiting tag (the X half is memoryless across cycles).
 
-template <TreeOrder Order>
 class VxBatchKernel final : public BatchKernel {
  public:
   VxBatchKernel(const WriteAllConfig& config, const CombinedLayout& layout)
@@ -796,7 +767,7 @@ class VxBatchKernel final : public BatchKernel {
            const BatchContext& ctx, SoaStore& soa) const override {
     if (ctx.slot % 2 != 0) {
       // X half; the V waiting tag is irrelevant on odd slots.
-      x_navigate_group<Order>(config_, layout_.x, layout_.done, ctx, pids);
+      x_navigate_group(config_, layout_.x, layout_.done, ctx, pids);
       return;
     }
     const Slot phi = (ctx.slot / 2) % layout_.v.iteration;
@@ -857,18 +828,12 @@ std::unique_ptr<BatchKernel> make_v_batch_kernel(const WriteAllConfig& config,
 
 std::unique_ptr<BatchKernel> make_x_batch_kernel(const WriteAllConfig& config,
                                                  const XLayout& layout) {
-  if (layout.nav.order() == TreeOrder::kVeb) {
-    return std::make_unique<XBatchKernel<TreeOrder::kVeb>>(config, layout);
-  }
-  return std::make_unique<XBatchKernel<TreeOrder::kHeap>>(config, layout);
+  return std::make_unique<XBatchKernel>(config, layout);
 }
 
 std::unique_ptr<BatchKernel> make_vx_batch_kernel(
     const WriteAllConfig& config, const CombinedLayout& layout) {
-  if (layout.x.nav.order() == TreeOrder::kVeb) {
-    return std::make_unique<VxBatchKernel<TreeOrder::kVeb>>(config, layout);
-  }
-  return std::make_unique<VxBatchKernel<TreeOrder::kHeap>>(config, layout);
+  return std::make_unique<VxBatchKernel>(config, layout);
 }
 
 std::unique_ptr<BatchKernel> AlgW::batch_kernels() const {

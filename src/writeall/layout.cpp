@@ -1,81 +1,8 @@
 #include "writeall/layout.hpp"
 
-#include <string>
-
 #include "util/error.hpp"
 
 namespace rfsp {
-
-// ---------------------------------------------------------------------------
-// TreeOrder / TreeNav
-
-std::string_view to_string(TreeOrder order) {
-  switch (order) {
-    case TreeOrder::kHeap: return "heap";
-    case TreeOrder::kVeb: return "veb";
-  }
-  return "?";
-}
-
-TreeOrder tree_order_from_string(std::string_view text) {
-  if (text == "heap") return TreeOrder::kHeap;
-  if (text == "veb") return TreeOrder::kVeb;
-  throw ConfigError("unknown tree order '" + std::string(text) +
-                    "' (expected heap|veb)");
-}
-
-namespace {
-
-// Lay out a vEB subtree of `levels` levels whose root sits at depth
-// `depth0` of the full tree: split into a top half of lt = levels/2 levels
-// and 2^lt bottom halves of levels - lt levels, stored top first, then the
-// bottom subtrees left to right. For every depth inside the bottom range
-// this contributes a base shift past the top block and one Step selecting
-// the bottom subtree by the top-lt bits of the depth-local path (which are
-// bits [d - depth0 - lt, d - depth0) of the full-tree path — the recursion
-// only ever consumes a suffix of the path bits, so all shifts index the
-// full path directly).
-void emit_veb(unsigned levels, unsigned depth0,
-              std::vector<std::vector<TreeNav::Step>>& steps,
-              std::vector<Addr>& base) {
-  if (levels <= 1) return;
-  const unsigned lt = levels / 2;
-  const unsigned lb = levels - lt;
-  const Addr top_size = (Addr{1} << lt) - 1;
-  const std::uint32_t bot_size = (std::uint32_t{1} << lb) - 1;
-  emit_veb(lt, depth0, steps, base);
-  for (unsigned d = depth0 + lt; d < depth0 + levels; ++d) {
-    base[d] += top_size;
-    steps[d].push_back({static_cast<std::uint8_t>(d - depth0 - lt),
-                        static_cast<std::uint8_t>(lt), bot_size});
-  }
-  emit_veb(lb, depth0 + lt, steps, base);
-}
-
-}  // namespace
-
-TreeNav::TreeNav(unsigned levels, TreeOrder order)
-    : levels_(levels), order_(order) {
-  RFSP_CHECK(levels >= 1 && levels <= 40);
-  if (order_ != TreeOrder::kVeb) return;
-  std::vector<std::vector<Step>> per_depth(levels);
-  base_.assign(levels, 0);
-  emit_veb(levels, 0, per_depth, base_);
-  begin_.assign(levels + 1, 0);
-  for (unsigned d = 0; d < levels; ++d) {
-    begin_[d + 1] = begin_[d] + static_cast<std::uint32_t>(per_depth[d].size());
-    steps_.insert(steps_.end(), per_depth[d].begin(), per_depth[d].end());
-  }
-  // The steps of depth d consume disjoint bit ranges covering [0, d), so
-  // every depth >= 1 has exactly one step with shift 0 — the one whose
-  // stride separates a left child from its right sibling.
-  sib_.assign(levels, 1);
-  for (unsigned d = 0; d < levels; ++d) {
-    for (const Step& s : per_depth[d]) {
-      if (s.shift == 0) sib_[d] = s.stride;
-    }
-  }
-}
 
 void WriteAllConfig::validate() const {
   if (n < 1) throw ConfigError("Write-All needs n >= 1");

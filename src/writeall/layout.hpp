@@ -12,8 +12,6 @@
 
 #include <memory>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "pram/memory.hpp"
 #include "pram/program.hpp"
@@ -64,58 +62,14 @@ class TaskSpec {
   virtual std::size_t scratch_words() const { return 16; }
 };
 
-// --- Tree storage orders ------------------------------------------------------
+// --- Tree navigation ---------------------------------------------------------
 //
 // The paper's progress/allocation/counting trees are full binary heaps,
-// 1-indexed: node v has children 2v/2v+1 and parent v/2. How those logical
-// nodes map onto consecutive shared-memory cells is *not* part of the model
-// (an idealized PRAM charges every hop one step), so the storage order is a
-// pure hardware concern the algorithms never observe: traversal positions,
-// registers, and checkpoint streams all carry logical node ids, and only
-// the final cell address depends on the order. Consequently tallies, trace
-// streams, patterns, and per-phase attribution are identical across orders,
-// while raw memory dumps (and the `memory` section of checkpoints) are
-// layout-private.
-enum class TreeOrder : std::uint8_t {
-  kHeap,  // BFS order: cell(v) = v - 1. Level-sequential, the default.
-  kVeb,   // van Emde Boas order: recursive top/bottom blocking, so any
-          // root-to-leaf path touches O(log_B N) cache blocks instead of
-          // O(log N) — the cache-oblivious layout for X's deep tree walks.
-};
-
-std::string_view to_string(TreeOrder order);
-TreeOrder tree_order_from_string(std::string_view text);  // throws ConfigError
-
-// Per-config knobs for how an algorithm instance arranges its trees in
-// shared memory. Carried by WriteAllConfig so layouts, interpreters, and
-// batched kernels all agree without extra plumbing.
-struct LayoutOptions {
-  TreeOrder tree_order = TreeOrder::kHeap;
-};
-
-// Navigation table for one full binary tree of `levels` levels (2^levels - 1
-// nodes, ids 1 .. 2^levels - 1). Algorithm code asks TreeNav for parent /
-// child / position instead of computing 2i / i/2 and node - 1 inline, which
-// is what lets the storage order vary underneath.
-//
-// The vEB mapping is evaluated arithmetically from per-depth step tables
-// rather than a materialized permutation: a node's position is its
-// enclosing recursive blocks' base offsets plus, per recursion level that
-// splits above its depth, (subtree index) * (subtree size). That is
-// O(log levels) adds per lookup from a table of ~levels * log(levels)
-// entries — cache-resident even for 2^25-node trees, where a permutation
-// array would itself be a second 128 MB miss stream.
-class TreeNav {
- public:
-  TreeNav() : TreeNav(1, TreeOrder::kHeap) {}
-  TreeNav(unsigned levels, TreeOrder order);
-
-  TreeOrder order() const { return order_; }
-  unsigned levels() const { return levels_; }
-  Addr nodes() const { return (Addr{1} << levels_) - 1; }
-
-  // Logical navigation: independent of the storage order by design (the
-  // node ids in w[pid] payloads and checkpoints must not depend on it).
+// 1-indexed: node v has children 2v/2v+1 and parent v/2, and is stored in
+// BFS order at cell v - 1 of its tree's region. Algorithm code asks TreeNav
+// for parent / child / position instead of computing 2i / i/2 and node - 1
+// inline, so every tree walk reads the same way.
+struct TreeNav {
   static constexpr Addr root() { return 1; }
   static constexpr Addr parent(Addr node) { return node >> 1; }
   static constexpr Addr left(Addr node) { return 2 * node; }
@@ -124,46 +78,8 @@ class TreeNav {
   static constexpr Addr ancestor(Addr node, unsigned up) {
     return node >> up;
   }
-
-  // Storage position of `node` in [0, nodes()).
-  Addr pos(Addr node) const {
-    return order_ == TreeOrder::kHeap ? node - 1 : veb_pos(node);
-  }
-
-  // One vEB recursion level that splits above a given depth: the bottom
-  // subtree index is a bit field of the in-depth path, each subtree
-  // `stride` cells wide.
-  struct Step {
-    std::uint8_t shift = 0;
-    std::uint8_t bits = 0;
-    std::uint32_t stride = 0;
-  };
-
-  Addr veb_pos(Addr node) const {
-    const unsigned d = floor_log2(node);
-    const Addr path = node - (Addr{1} << d);
-    Addr pos = base_[d];
-    for (std::uint32_t i = begin_[d]; i < begin_[d + 1]; ++i) {
-      const Step& s = steps_[i];
-      pos += ((path >> s.shift) & ((Addr{1} << s.bits) - 1)) * s.stride;
-    }
-    return pos;
-  }
-
-  // Storage distance from a left child to its right sibling, constant per
-  // depth (heap: 1; vEB: the stride of the step that consumes path bit 0).
-  // Lets a kernel derive the sibling's cell from one veb_pos evaluation.
-  Addr sibling_stride(unsigned depth) const {
-    return order_ == TreeOrder::kHeap ? 1 : sib_[depth];
-  }
-
- private:
-  unsigned levels_ = 1;
-  TreeOrder order_ = TreeOrder::kHeap;
-  std::vector<Addr> base_;            // [levels]: constant offset per depth
-  std::vector<std::uint32_t> begin_;  // [levels + 1]: steps_ slice per depth
-  std::vector<Step> steps_;
-  std::vector<Addr> sib_;             // [levels]: sibling distance per depth
+  // Storage position of `node` within its tree's region.
+  static constexpr Addr pos(Addr node) { return node - 1; }
 };
 
 // --- Configuration -----------------------------------------------------------
@@ -187,12 +103,6 @@ struct WriteAllConfig {
   // Exposed for the design-choice ablation: B trades allocation work
   // (≈ P·(log L)² per iteration over L = ⌈N/B⌉ leaves) against leaf work.
   Addr leaf_elems = 0;
-
-  // Storage order of the progress/allocation/counting trees. Model-invisible
-  // (see TreeOrder): tallies and traces are identical across orders, only
-  // tree-cell addresses move. Checkpoints taken under one order must be
-  // resumed under the same order — the memory image is layout-private.
-  LayoutOptions layout;
 
   void validate() const;  // throws ConfigError
 

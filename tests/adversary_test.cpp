@@ -5,6 +5,8 @@
 
 #include "fault/adversaries.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
+#include "util/error.hpp"
 #include "writeall/runner.hpp"
 
 namespace rfsp {
@@ -68,16 +70,16 @@ TEST(ScheduledAdversary, ReplaysARecordedPatternExactly) {
   RandomAdversaryOptions opt;
   opt.fail_prob = 0.15;
   opt.restart_prob = 0.7;
-  opt.fail_after_frac = 0.0;  // the pattern format does not keep mid/after
+  opt.fail_after_frac = 0.0;  // ScheduledAdversary fails every move mid-cycle
 
   RandomAdversary recordee(23, opt);
-  EngineOptions eopt;
-  eopt.record_pattern = true;
-  const auto recorded = run_writeall(WriteAllAlgo::kX, config, recordee, eopt);
+  FaultSchedule pattern;
+  RecordingAdversary recorder(recordee, pattern);
+  const auto recorded = run_writeall(WriteAllAlgo::kX, config, recorder);
   ASSERT_TRUE(recorded.solved);
-  ASSERT_GT(recorded.run.pattern.size(), 0u);
+  ASSERT_GT(pattern.move_count(), 0u);
 
-  ScheduledAdversary replay(recorded.run.pattern);
+  ScheduledAdversary replay(pattern);
   const auto replayed = run_writeall(WriteAllAlgo::kX, config, replay);
   EXPECT_TRUE(replayed.solved);
   EXPECT_EQ(replayed.run.tally.completed_work,
@@ -87,14 +89,47 @@ TEST(ScheduledAdversary, ReplaysARecordedPatternExactly) {
 }
 
 TEST(ScheduledAdversary, SkipsInapplicableEvents) {
-  FaultPattern pattern;
-  pattern.add(FaultTag::kRestart, 0, 0);  // nobody failed yet
-  pattern.add(FaultTag::kFailure, 200, 0);  // out of range PID
+  FaultSchedule pattern;
+  pattern.entries.push_back(
+      {0, {.fail_mid_cycle = {200},  // out of range PID
+           .restart = {0}}});        // nobody failed yet
+  pattern.entries.push_back(
+      {1, {.cell_faults = {3}, .cache_drop = {1}}});  // not replayed
   ScheduledAdversary adversary(pattern);
   const WriteAllConfig config{.n = 16, .p = 4};
   const auto out = run_writeall(WriteAllAlgo::kX, config, adversary);
   EXPECT_TRUE(out.solved);
-  EXPECT_EQ(adversary.skipped(), 2u);
+  EXPECT_EQ(out.run.tally.pattern_size(), 0u);
+  EXPECT_EQ(adversary.skipped(), 4u);
+}
+
+TEST(ScheduledAdversary, FailsEveryMoveMidCycleThenRestarts) {
+  // Definition 2.1's pattern has one failure tag: `mid`, `after` and `torn`
+  // moves all become mid-cycle failures, applied before the restarts.
+  FaultSchedule pattern;
+  pattern.entries.push_back({2,
+                             {.fail_mid_cycle = {1},
+                              .fail_after_cycle = {2},
+                              .restart = {2},
+                              .torn = {{.pid = 3, .write_index = 0}}}});
+  ScheduledAdversary scheduled(pattern);
+  FaultSchedule seen;
+  RecordingAdversary recorder(scheduled, seen);
+  const WriteAllConfig config{.n = 16, .p = 8};
+  const auto out = run_writeall(WriteAllAlgo::kX, config, recorder);
+  EXPECT_TRUE(out.solved);
+  ASSERT_EQ(seen.entries.size(), 1u);
+  EXPECT_EQ(seen.entries[0].slot, 2u);
+  const FaultDecision want{.fail_mid_cycle = {1, 2, 3}, .restart = {2}};
+  EXPECT_EQ(seen.entries[0].decision, want);
+  EXPECT_EQ(scheduled.skipped(), 0u);
+}
+
+TEST(ScheduledAdversary, RequiresAscendingSlots) {
+  FaultSchedule pattern;
+  pattern.entries.push_back({5, {.fail_mid_cycle = {0}}});
+  pattern.entries.push_back({4, {.fail_mid_cycle = {1}}});
+  EXPECT_THROW(ScheduledAdversary adversary(pattern), ConfigError);
 }
 
 TEST(ThrashingAdversary, InflatesAttemptedWorkQuadratically) {
@@ -126,12 +161,12 @@ TEST(ThrashingAdversary, CompletedWorkStaysSubquadraticForX) {
 TEST(NoFailures, ProducesEmptyPattern) {
   const WriteAllConfig config{.n = 64, .p = 16};
   NoFailures none;
-  EngineOptions eopt;
-  eopt.record_pattern = true;
-  const auto out = run_writeall(WriteAllAlgo::kV, config, none, eopt);
+  FaultSchedule pattern;
+  RecordingAdversary recorder(none, pattern);
+  const auto out = run_writeall(WriteAllAlgo::kV, config, recorder);
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.run.tally.pattern_size(), 0u);
-  EXPECT_TRUE(out.run.pattern.empty());
+  EXPECT_TRUE(pattern.entries.empty());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "fault/stalkers.hpp"
 #include "obs/trace.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "writeall/algx.hpp"
 #include "writeall/combined.hpp"
 #include "writeall/runner.hpp"
@@ -27,23 +28,24 @@ using ::rfsp::testing::ChaosAdversary;
 using ::rfsp::testing::LambdaProgram;
 
 // One full observable run: outcome, tallies, final memory, goal counter,
-// the structured trace-event stream, and periodic checkpoints.
+// the recorded fault schedule, the structured trace-event stream, and
+// periodic checkpoints.
 struct FullOutcome {
   RunResult run;
   std::vector<Word> memory;
   std::optional<std::uint64_t> goal_unsat;
   bool batch_active = false;
+  FaultSchedule schedule;
   std::vector<TraceEvent> events;
   std::vector<EngineCheckpoint> checkpoints;
 };
 
 FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
                      Adversary& adversary, EngineOptions options) {
-  options.record_trace = true;
-  options.record_pattern = true;
   CollectingTraceSink sink;
   options.sink = &sink;
   FullOutcome out;
+  RecordingAdversary recorder(adversary, out.schedule);
   options.checkpoint_every = 7;
   options.on_checkpoint = [&](const EngineCheckpoint& cp) {
     out.checkpoints.push_back(cp);
@@ -51,7 +53,7 @@ FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
   const auto program = make_writeall(algo, config);
   Engine engine(*program, options);
   out.batch_active = engine.batch_active();
-  out.run = engine.run(adversary);
+  out.run = engine.run(recorder);
   const auto words = engine.memory().words();
   out.memory.assign(words.begin(), words.end());
   out.goal_unsat = engine.goal_unsatisfied();
@@ -68,20 +70,11 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
   EXPECT_EQ(a.memory, b.memory) << what;
   EXPECT_EQ(a.goal_unsat, b.goal_unsat) << what;
 
-  // Slot-by-slot trace records.
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size()) << what;
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].started, b.run.trace[i].started) << what;
-    EXPECT_EQ(a.run.trace[i].completed, b.run.trace[i].completed) << what;
-    EXPECT_EQ(a.run.trace[i].failures, b.run.trace[i].failures) << what;
-    EXPECT_EQ(a.run.trace[i].restarts, b.run.trace[i].restarts) << what;
-  }
+  // Recorded fault schedule (the adversary saw identical MachineViews).
+  EXPECT_EQ(a.schedule, b.schedule) << what;
 
-  // Recorded fault pattern (the adversary saw identical MachineViews).
-  ASSERT_EQ(a.run.pattern.events().size(), b.run.pattern.events().size())
-      << what;
-
-  // Structured trace-event stream, field by field.
+  // Structured trace-event stream, field by field; the kSlot events carry
+  // the per-slot started/completed/failures/restarts series.
   ASSERT_EQ(a.events.size(), b.events.size()) << what;
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     const TraceEvent& ea = a.events[i];
@@ -137,13 +130,12 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
   if (name == "stalker") {
     if (algo == WriteAllAlgo::kX) {
       return std::make_unique<PostOrderStalker>(
-          XLayout(config.base, config.base + config.n, config.n, config.p,
-                  config.layout.tree_order));
+          XLayout(config.base, config.base + config.n, config.n, config.p));
     }
     if (algo == WriteAllAlgo::kCombinedVX) {
       return std::make_unique<PostOrderStalker>(
           CombinedLayout(config.base, config.base + config.n, config.n,
-                         config.p, 0, 0, config.layout.tree_order)
+                         config.p, 0)
               .x);
     }
     return std::make_unique<HalvingAdversary>(0, config.n);
@@ -155,15 +147,12 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name,
-                       std::size_t threads,
-                       TreeOrder order = TreeOrder::kHeap) {
+                       std::size_t threads) {
   const std::string what = std::string(to_string(algo)) + " x " +
                            adversary_name + " x threads=" +
-                           std::to_string(threads) + " x " +
-                           std::string(to_string(order));
+                           std::to_string(threads);
   SCOPED_TRACE(what);
-  const WriteAllConfig config{
-      .n = 192, .p = 48, .seed = 5, .layout = {.tree_order = order}};
+  const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
   const std::uint64_t seed = 77;
 
   EngineOptions options;
@@ -237,23 +226,6 @@ TEST(BatchEquivalence, ChaosWithTornWrites) {
   }
 }
 
-// The vEB storage order is a pure address remap, so the interpreter/batch
-// bit-identity contract must hold under it verbatim — including the veb
-// X/VX kernel template instantiations and the stalker built from a veb
-// layout.
-TEST(BatchEquivalence, VebTreeOrder) {
-  for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
-                                  WriteAllAlgo::kX,
-                                  WriteAllAlgo::kCombinedVX}) {
-    for (const char* adversary : {"none", "random", "burst", "stalker",
-                                  "chaos"}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        check_equivalence(algo, adversary, threads, TreeOrder::kVeb);
-      }
-    }
-  }
-}
-
 // Worker lane-chunk sizing is a scheduling knob: chunks stay contiguous in
 // ascending pid order, so every chunk size (including degenerate ones that
 // leave trailing workers idle) must reproduce the same run bit for bit.
@@ -285,11 +257,8 @@ TEST(BatchCheckpoint, ResumesAcrossModes) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-   for (const TreeOrder order : {TreeOrder::kHeap, TreeOrder::kVeb}) {
-    SCOPED_TRACE(std::string(to_string(algo)) + " x " +
-                 std::string(to_string(order)));
-    const WriteAllConfig config{
-        .n = 48, .p = 12, .seed = 5, .layout = {.tree_order = order}};
+    SCOPED_TRACE(std::string(to_string(algo)));
+    const WriteAllConfig config{.n = 48, .p = 12, .seed = 5};
     const std::uint64_t seed = 77;
     EngineOptions options;
     options.max_slots = 2000;
@@ -330,7 +299,6 @@ TEST(BatchCheckpoint, ResumesAcrossModes) {
         EXPECT_EQ(straight.solved, resumed.solved);
       }
     }
-   }
   }
 }
 

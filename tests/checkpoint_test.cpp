@@ -36,17 +36,18 @@ TEST(CheckpointFormat, JsonRoundTripIsExact) {
   EXPECT_EQ(text, checkpoint_to_json(back));  // canonical
 }
 
-// Saver-attached meta (the CLIs record "tree_order" so a layout-private
-// memory image cannot be silently resumed under the wrong storage order):
-// round-trips exactly, and an empty map serializes to no "meta" key at all,
-// keeping meta-free documents byte-identical to the pre-meta format.
+// Saver-attached meta (the CLIs record the memory model a checkpoint's
+// image depends on): round-trips exactly, and an empty map serializes to
+// no "meta" key at all, keeping meta-free documents byte-identical to the
+// pre-meta format.
 TEST(CheckpointFormat, MetaRoundTripAndAbsentWhenEmpty) {
   EngineCheckpoint cp;
   cp.slot = 3;
   cp.memory = {1};
   EXPECT_EQ(checkpoint_to_json(cp).find("\"meta\""), std::string::npos);
 
-  cp.meta = {{"tree_order", "veb"}, {"note", "a \"quoted\" value"}};
+  cp.meta = {{"memory_model", "persistent-cache"},
+             {"note", "a \"quoted\" value"}};
   const std::string text = checkpoint_to_json(cp);
   const EngineCheckpoint back = checkpoint_from_json(text);
   EXPECT_EQ(cp, back);
@@ -56,6 +57,18 @@ TEST(CheckpointFormat, MetaRoundTripAndAbsentWhenEmpty) {
   EngineCheckpoint bare = cp;
   bare.meta.clear();
   EXPECT_TRUE(checkpoint_from_json(checkpoint_to_json(bare)).meta.empty());
+}
+
+// A checkpoint stamped with the van Emde Boas tree order holds tree cells
+// at addresses the heap layout does not use: resuming it would misread
+// every tree, so it is refused. Heap-stamped and unstamped images pass.
+TEST(CheckpointFormat, RefusesVebLayoutImage) {
+  EngineCheckpoint cp;
+  EXPECT_NO_THROW(require_heap_tree_order(cp));
+  cp.meta["tree_order"] = "heap";
+  EXPECT_NO_THROW(require_heap_tree_order(cp));
+  cp.meta["tree_order"] = "veb";
+  EXPECT_THROW(require_heap_tree_order(cp), ConfigError);
 }
 
 TEST(CheckpointFormat, RejectsMalformedInput) {

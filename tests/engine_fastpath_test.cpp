@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fault/adversaries.hpp"
+#include "obs/trace.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "util/error.hpp"
 #include "writeall/runner.hpp"
 
@@ -24,16 +28,21 @@ struct FullOutcome {
   RunResult run;
   std::vector<Word> memory;
   std::optional<std::uint64_t> goal_unsat;
+  FaultSchedule schedule;
+  std::string events;  // JSONL trace-event stream
 };
 
 FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
                      Adversary& adversary, EngineOptions options) {
-  options.record_trace = true;
-  options.record_pattern = true;
+  std::ostringstream events;
+  JsonlTraceSink sink(events);
+  options.sink = &sink;
   const auto program = make_writeall(algo, config);
   Engine engine(*program, options);
   FullOutcome out;
-  out.run = engine.run(adversary);
+  RecordingAdversary recorder(adversary, out.schedule);
+  out.run = engine.run(recorder);
+  out.events = events.str();
   const auto words = engine.memory().words();
   out.memory.assign(words.begin(), words.end());
   out.goal_unsat = engine.goal_unsatisfied();
@@ -58,15 +67,9 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
 
   EXPECT_EQ(a.memory, b.memory) << what;
 
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size()) << what;
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].started, b.run.trace[i].started) << what;
-    EXPECT_EQ(a.run.trace[i].completed, b.run.trace[i].completed) << what;
-    EXPECT_EQ(a.run.trace[i].failures, b.run.trace[i].failures) << what;
-    EXPECT_EQ(a.run.trace[i].restarts, b.run.trace[i].restarts) << what;
-  }
-  EXPECT_EQ(a.run.pattern.events().size(), b.run.pattern.events().size())
-      << what;
+  // Per-slot series and per-PID failure/restart events.
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.schedule, b.schedule) << what;
 }
 
 // --- Deterministic parallel cycle execution --------------------------------

@@ -6,9 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/adversaries.hpp"
-#include "fault/pattern.hpp"
-#include "pram/engine.hpp"
 #include "programs/programs.hpp"
 #include "sim/simulator.hpp"
 #include "util/bits.hpp"
@@ -16,14 +13,9 @@
 #include "writeall/algw.hpp"
 #include "writeall/algx.hpp"
 #include "writeall/combined.hpp"
-#include "writeall/runner.hpp"
-
-#include "test_util.hpp"
 
 namespace rfsp {
 namespace {
-
-using ::rfsp::testing::ChaosAdversary;
 
 class LayoutSweep : public ::testing::TestWithParam<Addr> {};
 
@@ -121,57 +113,11 @@ TEST(LayoutSweep, XElementRangesPartitionTheTree) {
   }
 }
 
-// --- Tree storage orders (TreeOrder / TreeNav) ------------------------------
-
-// Reference vEB order: append the height-`levels` subtree rooted at `root`
-// (logical heap ids) — top half first, then each bottom subtree left to
-// right. TreeNav must agree with a node's index in this sequence.
-void reference_veb(Addr root, unsigned levels, std::vector<Addr>& out) {
-  if (levels == 1) {
-    out.push_back(root);
-    return;
-  }
-  const unsigned lt = levels / 2;
-  const unsigned lb = levels - lt;
-  reference_veb(root, lt, out);
-  const Addr first = root << lt;
-  for (Addr i = 0; i < (Addr{1} << lt); ++i) {
-    reference_veb(first + i, lb, out);
-  }
-}
+// --- Tree navigation (TreeNav) ------------------------------------------------
 
 TEST(TreeNav, HeapOrderIsTheIdentity) {
-  for (unsigned levels = 1; levels <= 12; ++levels) {
-    const TreeNav nav(levels, TreeOrder::kHeap);
-    for (Addr node = 1; node <= nav.nodes(); ++node) {
-      ASSERT_EQ(nav.pos(node), node - 1) << "levels=" << levels;
-    }
-  }
-}
-
-TEST(TreeNav, VebOrderMatchesRecursiveReference) {
-  for (unsigned levels = 1; levels <= 12; ++levels) {
-    std::vector<Addr> order;
-    reference_veb(1, levels, order);
-    const TreeNav nav(levels, TreeOrder::kVeb);
-    ASSERT_EQ(order.size(), nav.nodes()) << "levels=" << levels;
-    for (Addr i = 0; i < order.size(); ++i) {
-      ASSERT_EQ(nav.pos(order[i]), i)
-          << "levels=" << levels << " node=" << order[i];
-    }
-  }
-}
-
-TEST(TreeNav, VebOrderIsAPermutation) {
-  for (unsigned levels = 1; levels <= 14; ++levels) {
-    const TreeNav nav(levels, TreeOrder::kVeb);
-    std::vector<bool> seen(nav.nodes(), false);
-    for (Addr node = 1; node <= nav.nodes(); ++node) {
-      const Addr pos = nav.pos(node);
-      ASSERT_LT(pos, nav.nodes()) << "levels=" << levels;
-      ASSERT_FALSE(seen[pos]) << "levels=" << levels << " node=" << node;
-      seen[pos] = true;
-    }
+  for (Addr node = 1; node < (Addr{1} << 12); ++node) {
+    ASSERT_EQ(TreeNav::pos(node), node - 1) << "node=" << node;
   }
 }
 
@@ -180,144 +126,9 @@ TEST(TreeNav, RootAndLogicalHelpersAreOrderIndependent) {
   EXPECT_EQ(TreeNav::left(3), 6u);
   EXPECT_EQ(TreeNav::right(3), 7u);
   EXPECT_EQ(TreeNav::ancestor(13, 2), 3u);
-  // The root maps to cell 0 in both orders — the goal-cell addresses the
-  // progress-tree algorithms publish are therefore order-invariant.
-  for (const TreeOrder order : {TreeOrder::kHeap, TreeOrder::kVeb}) {
-    EXPECT_EQ(TreeNav(9, order).pos(TreeNav::root()), 0u);
-  }
-}
-
-// --- Cross-layout execution equivalence --------------------------------------
-//
-// The storage order is model-invisible: runs under heap and veb must agree
-// on everything the model observes — outcome, tallies, the per-slot trace,
-// the recorded fault pattern, and the per-phase work attribution. (Memory
-// images are layout-private and intentionally not compared.)
-
-struct LayoutRun {
-  WriteAllOutcome out;
-};
-
-std::unique_ptr<Adversary> layout_adversary(const std::string& name,
-                                            WriteAllAlgo algo) {
-  if (name == "random") {
-    RandomAdversaryOptions opt;
-    opt.fail_prob = 0.08;
-    opt.restart_prob = algo == WriteAllAlgo::kW ? 0.0 : 0.6;
-    opt.max_pattern = 400;
-    return std::make_unique<RandomAdversary>(29, opt);
-  }
-  if (name == "burst") {
-    BurstAdversaryOptions opt;
-    opt.period = 3;
-    opt.count = 5;
-    opt.restart = algo != WriteAllAlgo::kW;
-    opt.max_pattern = 300;
-    return std::make_unique<BurstAdversary>(opt);
-  }
-  if (name == "thrashing") return std::make_unique<ThrashingAdversary>();
-  if (name == "chaos") {
-    return std::make_unique<ChaosAdversary>(41, /*allow_torn=*/false);
-  }
-  return std::make_unique<NoFailures>();
-}
-
-LayoutRun run_layout(WriteAllAlgo algo, const std::string& adversary_name,
-                     TreeOrder order) {
-  const WriteAllConfig config{
-      .n = 160, .p = 40, .seed = 3, .layout = {.tree_order = order}};
-  const auto adversary = layout_adversary(adversary_name, algo);
-  EngineOptions options;
-  options.max_slots = 4000;  // thrashing restarts can stall fail-stop W
-  options.record_pattern = true;
-  options.record_trace = true;
-  options.attribute_phases = true;
-  return LayoutRun{run_writeall(algo, config, *adversary, options)};
-}
-
-void expect_model_identical(const LayoutRun& a, const LayoutRun& b,
-                            const std::string& what) {
-  EXPECT_EQ(a.out.solved, b.out.solved) << what;
-  EXPECT_EQ(a.out.run.tally, b.out.run.tally) << what;
-  EXPECT_EQ(pattern_to_text(a.out.run.pattern),
-            pattern_to_text(b.out.run.pattern))
-      << what;
-  ASSERT_EQ(a.out.run.trace.size(), b.out.run.trace.size()) << what;
-  for (std::size_t i = 0; i < a.out.run.trace.size(); ++i) {
-    EXPECT_EQ(a.out.run.trace[i].started, b.out.run.trace[i].started) << what;
-    EXPECT_EQ(a.out.run.trace[i].completed, b.out.run.trace[i].completed)
-        << what;
-    EXPECT_EQ(a.out.run.trace[i].failures, b.out.run.trace[i].failures)
-        << what;
-    EXPECT_EQ(a.out.run.trace[i].restarts, b.out.run.trace[i].restarts)
-        << what;
-  }
-  ASSERT_EQ(a.out.run.phases.size(), b.out.run.phases.size()) << what;
-  for (std::size_t i = 0; i < a.out.run.phases.size(); ++i) {
-    const PhaseWork& pa = a.out.run.phases[i];
-    const PhaseWork& pb = b.out.run.phases[i];
-    EXPECT_EQ(pa.name, pb.name) << what;
-    EXPECT_EQ(pa.completed_work, pb.completed_work) << what << " " << pa.name;
-    EXPECT_EQ(pa.attempted_work, pb.attempted_work) << what << " " << pa.name;
-    EXPECT_EQ(pa.failures, pb.failures) << what << " " << pa.name;
-    EXPECT_EQ(pa.restarts, pb.restarts) << what << " " << pa.name;
-    EXPECT_EQ(pa.slots, pb.slots) << what << " " << pa.name;
-  }
-}
-
-TEST(TreeOrderEquivalence, HeapAndVebAgreeOnEverythingTheModelSees) {
-  for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
-                                  WriteAllAlgo::kX,
-                                  WriteAllAlgo::kCombinedVX}) {
-    for (const char* adversary :
-         {"none", "random", "burst", "thrashing", "chaos"}) {
-      const std::string what =
-          std::string(to_string(algo)) + " x " + adversary;
-      SCOPED_TRACE(what);
-      const LayoutRun heap = run_layout(algo, adversary, TreeOrder::kHeap);
-      const LayoutRun veb = run_layout(algo, adversary, TreeOrder::kVeb);
-      expect_model_identical(heap, veb, what);
-    }
-  }
-}
-
-// A checkpoint's memory image is layout-private, so the round trip —
-// capture under veb, resume under veb — must land on the straight veb
-// run's exact outcome.
-TEST(TreeOrderEquivalence, VebCheckpointRoundTrip) {
-  for (const WriteAllAlgo algo : {WriteAllAlgo::kX,
-                                  WriteAllAlgo::kCombinedVX}) {
-    SCOPED_TRACE(to_string(algo));
-    const WriteAllConfig config{
-        .n = 96, .p = 24, .seed = 7,
-        .layout = {.tree_order = TreeOrder::kVeb}};
-    EngineOptions options;
-    options.max_slots = 4000;
-
-    ChaosAdversary straight_adv(9, /*allow_torn=*/false);
-    const WriteAllOutcome straight =
-        run_writeall(algo, config, straight_adv, options);
-
-    std::vector<EngineCheckpoint> checkpoints;
-    EngineOptions recording = options;
-    recording.checkpoint_every = 5;
-    recording.on_checkpoint = [&](const EngineCheckpoint& cp) {
-      checkpoints.push_back(cp);
-    };
-    ChaosAdversary recording_adv(9, /*allow_torn=*/false);
-    const WriteAllOutcome observed =
-        run_writeall(algo, config, recording_adv, recording);
-    EXPECT_EQ(straight.run.tally, observed.run.tally);
-    ASSERT_FALSE(checkpoints.empty());
-
-    const EngineCheckpoint& mid = checkpoints[checkpoints.size() / 2];
-    ChaosAdversary resumed_adv(9, /*allow_torn=*/false);
-    const WriteAllOutcome resumed =
-        run_writeall(algo, config, resumed_adv, options, &mid);
-    EXPECT_EQ(straight.run.tally, resumed.run.tally)
-        << "veb resume from slot " << mid.slot << " diverged";
-    EXPECT_EQ(straight.solved, resumed.solved);
-  }
+  // The root maps to cell 0, so the goal-cell addresses the progress-tree
+  // algorithms publish sit at the start of their trees.
+  EXPECT_EQ(TreeNav::pos(TreeNav::root()), 0u);
 }
 
 }  // namespace

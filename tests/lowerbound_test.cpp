@@ -56,8 +56,8 @@ TEST(LowerBound, BoundBindsOnlyCorrectAlgorithms) {
   EXPECT_LE(s, 6.0 * static_cast<double>(n));  // far below N log N
 
   // ... and the incorrectness half: one permanent crash starves a cell.
-  FaultPattern one_death;
-  one_death.add(FaultTag::kFailure, 3, 0);
+  FaultSchedule one_death;
+  one_death.entries.push_back({0, {.fail_mid_cycle = {3}}});
   ScheduledAdversary crash(one_death);
   EngineOptions options;
   options.max_slots = 4096;

@@ -11,6 +11,7 @@
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
 #include "programs/programs.hpp"
+#include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "writeall/acc.hpp"
@@ -115,10 +116,12 @@ TEST(PostOrderStalker, TinyInstances) {
 TEST(SimOptions, PatternRecordingPassesThrough) {
   PrefixSumProgram program({3, 1, 4, 1, 5, 9, 2, 6});
   RandomAdversary adversary(5, {.fail_prob = 0.2, .restart_prob = 0.6});
-  const SimResult r = simulate(
-      program, adversary, {.physical_processors = 4, .record_pattern = true});
+  FaultSchedule pattern;
+  RecordingAdversary recorder(adversary, pattern);
+  const SimResult r =
+      simulate(program, recorder, {.physical_processors = 4});
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.pattern.size(), r.tally.pattern_size());
+  EXPECT_EQ(pattern.move_count(), r.tally.pattern_size());
 }
 
 TEST(SimOptions, SlotLimitSurfacesAsIncomplete) {

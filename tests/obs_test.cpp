@@ -251,6 +251,26 @@ TEST(TraceSink, CsvHeaderAndRowShape) {
   EXPECT_GE(rows, out.run.tally.slots);
 }
 
+// Byte-exact per-slot rows of the CSV transport (`--trace-out run.csv`):
+// the slot summary series plus the PID-level failure/restart triples.
+TEST(TraceCsv, GoldenOutput) {
+  std::ostringstream os;
+  CsvTraceSink sink(os);
+  sink.on_event({.kind = TraceEventKind::kSlot, .slot = 0, .started = 4,
+                 .completed = 3, .failures = 1});
+  sink.on_event({.kind = TraceEventKind::kFailure, .slot = 0, .pid = 2});
+  sink.on_event({.kind = TraceEventKind::kSlot, .slot = 1, .started = 4,
+                 .completed = 4, .restarts = 1});
+  sink.on_event({.kind = TraceEventKind::kRestart, .slot = 1, .pid = 2});
+  EXPECT_EQ(os.str(),
+            "event,slot,pid,started,completed,failures,restarts,writes,"
+            "phase,name\n"
+            "slot,0,,4,3,1,0,,,\n"
+            "failure,0,2,,,,,,,\n"
+            "slot,1,,4,4,0,1,,,\n"
+            "restart,1,2,,,,,,,\n");
+}
+
 // ---------------------------------------------------------------------------
 // Per-phase attribution
 
