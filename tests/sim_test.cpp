@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
@@ -97,6 +98,11 @@ struct SimCase {
   const char* label;
   SimInner inner;
 };
+
+// Without this, gtest prints the parameter's raw bytes, label pointer
+// included, so the listed test names would change with every address
+// layout.
+void PrintTo(const SimCase& c, std::ostream* os) { *os << c.label; }
 
 class SimInnerSuite : public ::testing::TestWithParam<SimCase> {};
 
