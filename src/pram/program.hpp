@@ -126,6 +126,22 @@ class CycleContext {
     return mem_.read(a, pid_);
   }
 
+  // Unaccounted host-side look at a cell: what `read` would return, through
+  // the same persistent-cache shadow and cell-fault routing, but it spends
+  // no read budget and is never logged or audited. It never consults a
+  // ReadOracle (SymbolicContext records every value it hands out as a
+  // verifier decision): under an oracle, and past the end of memory, it
+  // returns 0. It is not a model operation, so no peeked value may decide
+  // an address, a write or a halt — the Theorem 4.1 executor uses it only
+  // for the speculative tail of a replay it then discards.
+  Word peek(Addr a) const {
+    if (oracle_ != nullptr || a >= mem_.size()) [[unlikely]] return 0;
+    if (cache_ != nullptr) [[unlikely]] {
+      if (const Word* hit = cache_->find(a)) return *hit;
+    }
+    return mem_.read(a, pid_);
+  }
+
   // Buffer one shared write (committed at slot end iff the cycle completes).
   // Throws ModelViolation past the write budget.
   void write(Addr a, Word v) {

@@ -18,8 +18,9 @@
 //  * simulated words are 32-bit unsigned values (they travel stamped);
 //  * concurrent writes in one simulated step must follow COMMON CRCW (or
 //    be conflict-free: EREW/CREW programs qualify trivially);
-//  * `step` must let exceptions propagate (the executor uses an internal
-//    exception to discover the read set incrementally).
+//  * `step` may run on speculative values after its first unfetched load:
+//    the executor discovers the read set by replaying the step, and only a
+//    run whose loads were all fetched is used (docs/simulation.md).
 #pragma once
 
 #include <cstdint>

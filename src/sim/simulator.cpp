@@ -13,40 +13,48 @@ namespace rfsp {
 
 namespace {
 
-// Thrown by the replay context at the first load whose value is not yet in
-// the fetch cache; the executor then spends one update cycle fetching it.
-struct NeedFetch {
-  Addr addr;
-};
-
 // StepContext that serves loads from a fetch cache (plus the step's own
-// stores) and records stores into an overlay. Deterministic given the
-// cache, so re-running it every micro-cycle is safe.
+// stores) and records stores into an overlay. The first load the cache
+// cannot serve is the step's next fetch: the context records it as the
+// miss and serves it, and every later load, from CycleContext::peek, so
+// `step` always returns normally. Up to the miss the run depends only on
+// fetched values, so the miss is deterministic given the cache, and
+// re-running the step every micro-cycle is safe. After it the run is
+// speculative and is discarded: out-of-range loads read 0, out-of-range
+// stores are dropped, and the caller ignores an exception that escapes.
 class ReplayContext final : public StepContext {
  public:
-  ReplayContext(const SimLayout& layout, Pid j,
+  ReplayContext(const CycleContext& ctx, const SimLayout& layout, Pid j,
                 std::span<const Word> pairs, std::size_t fetched)
-      : layout_(layout), j_(j), pairs_(pairs), fetched_(fetched) {}
+      : ctx_(ctx), layout_(layout), j_(j), pairs_(pairs), fetched_(fetched) {}
 
   Word load(Addr a) override {
+    if (miss_ && a >= layout_.data_cells) return 0;
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated load out of bounds");
     return fetch(layout_.data + a);
   }
 
   void store(Addr a, Word v) override {
+    if (miss_ && a >= layout_.data_cells) return;
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated store out of bounds");
     overlay_[layout_.data + a] = sim_word(v);
   }
 
   Word reg(unsigned r) override {
+    if (miss_ && r >= layout_.reg_count) return 0;
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
     return fetch(layout_.reg_cell(j_, r));
   }
 
   void set_reg(unsigned r, Word v) override {
+    if (miss_ && r >= layout_.reg_count) return;
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
     overlay_[layout_.reg_cell(j_, r)] = sim_word(v);
   }
+
+  // The first load the fetch cache could not serve, if any. When set, the
+  // run was speculative from that load on and writes() is meaningless.
+  const std::optional<Addr>& miss() const { return miss_; }
 
   // Final (deduplicated, address-ordered) writes of the completed step.
   const std::map<Addr, Word>& writes() const { return overlay_; }
@@ -57,16 +65,21 @@ class ReplayContext final : public StepContext {
     if (const auto it = overlay_.find(abs); it != overlay_.end()) {
       return it->second;
     }
-    for (std::size_t i = 0; i < fetched_; ++i) {
-      if (static_cast<Addr>(pairs_[2 * i]) == abs) return pairs_[2 * i + 1];
+    if (!miss_) {
+      for (std::size_t i = 0; i < fetched_; ++i) {
+        if (static_cast<Addr>(pairs_[2 * i]) == abs) return pairs_[2 * i + 1];
+      }
+      miss_ = abs;
     }
-    throw NeedFetch{abs};
+    return ctx_.peek(abs);
   }
 
+  const CycleContext& ctx_;
   const SimLayout& layout_;
   Pid j_;
   std::span<const Word> pairs_;
   std::size_t fetched_;
+  std::optional<Addr> miss_;
   std::map<Addr, Word> overlay_;
 };
 
@@ -93,17 +106,22 @@ class ComputeTask final : public TaskSpec {
     const std::span<Word> pairs = scratch.subspan(2);
     const Pid j = static_cast<Pid>(task);
 
-    ReplayContext replay(layout_, j, pairs,
+    ReplayContext replay(ctx, layout_, j, pairs,
                          static_cast<std::size_t>(fetched));
     try {
       program_.step(replay, j, t_);
-    } catch (const NeedFetch& miss) {
+    } catch (...) {
+      // Past the miss the step saw speculative values; an exception they
+      // provoke resurfaces on the micro-cycle whose fetches reach it.
+      if (!replay.miss()) throw;
+    }
+    if (const std::optional<Addr>& miss = replay.miss()) {
       if (fetched >= static_cast<Word>(fetch_cap_)) {
         throw ConfigError("SimProgram::step exceeds its declared load "
                           "budget (max_loads + registers)");
       }
-      pairs[2 * fetched] = static_cast<Word>(miss.addr);
-      pairs[2 * fetched + 1] = ctx.read(miss.addr);
+      pairs[2 * fetched] = static_cast<Word>(*miss);
+      pairs[2 * fetched + 1] = ctx.read(*miss);
       ++fetched;
       return;
     }

@@ -4,9 +4,15 @@
 // behaviour change and must be deliberate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <span>
+
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "sim/simulator.hpp"
+#include "sim_workloads.hpp"
 #include "util/stats.hpp"
 #include "writeall/algx.hpp"
 #include "writeall/runner.hpp"
@@ -58,6 +64,76 @@ TEST(Golden, SeededAdversaryRun) {
   EXPECT_EQ(t.completed_work + t.pattern_size() + t.slots,
             t.completed_work + t.failures + t.restarts + t.slots);
   EXPECT_GT(t.failures, 0u);
+}
+
+// FNV-1a over (slot, pid, address) of every shared read of a run.
+class ReadTraceHash final : public EngineAuditHook {
+ public:
+  void on_run_begin(const Program&, const EngineOptions&) override {}
+  void on_slot_begin(Slot slot) override { slot_ = slot; }
+  void on_read(Pid pid, Addr addr) override {
+    mix(slot_);
+    mix(pid);
+    mix(addr);
+  }
+  void on_write(Pid, Addr, Word) override {}
+  void on_snapshot(Pid) override {}
+  void on_cycles_done(const SharedMemory&, Slot, std::span<const CycleTrace>,
+                      std::span<const Pid>) override {}
+  void on_transitions(Slot, const FaultDecision&) override {}
+  void on_run_end() override {}
+
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  Slot slot_ = 0;
+};
+
+TEST(Golden, SimulationTallies) {
+  // The Theorem 4.1 executor's micro-cycle schedule, pinned for every
+  // src/programs workload. The compute task's length is fixed, so the
+  // tallies alone cannot see which cell a micro-cycle fetches; the read
+  // trace hash does.
+  struct Pin {
+    const char* label;
+    std::uint64_t s, s_prime, f, slots, passes, reads;
+  };
+  const Pin pins[] = {
+      {"prefix-sum", 5853, 6498, 1289, 1302, 8, 0xb578035e7d524fe1ull},
+      {"max-reduce", 5853, 6498, 1289, 1302, 8, 0x6709c0dd636cc184ull},
+      {"list-ranking", 10480, 11593, 2224, 2298, 10, 0x9e2be00175c840ceull},
+      {"odd-even-sort", 22823, 25319, 4991, 5038, 32, 0x7ab6181b1f5b0017ull},
+      {"bitonic-sort", 14235, 15748, 3025, 3122, 20, 0xa11e9f797dfb1927ull},
+      {"stencil", 17982, 19896, 3828, 3946, 24, 0xf091a6258294dfefull},
+      {"matmul", 7498, 8303, 1609, 1654, 8, 0xacff4c3111ca03b8ull},
+      {"leader-elect", 2528, 2789, 520, 548, 4, 0xa79212853c5b89e0ull},
+      {"components", 163437, 181574, 36273, 36294, 128,
+       0xd1f14616e79c5cb9ull},
+      {"sort-scan", 28460, 31582, 6244, 6290, 40, 0x57eaa914189aa78bull},
+  };
+  const auto workloads = testing::all_sim_workloads(16, 7);
+  ASSERT_EQ(workloads.size(), std::size(pins));
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const Pin& pin = pins[i];
+    ASSERT_EQ(workloads[i].label, pin.label);
+    RandomAdversary adversary(29, {.fail_prob = 0.1, .restart_prob = 0.5});
+    ReadTraceHash reads;
+    const SimResult r = simulate(*workloads[i].program, adversary,
+                                 {.physical_processors = 6, .audit = &reads});
+    ASSERT_TRUE(r.completed) << pin.label;
+    EXPECT_EQ(r.tally.completed_work, pin.s) << pin.label;
+    EXPECT_EQ(r.tally.attempted_work, pin.s_prime) << pin.label;
+    EXPECT_EQ(r.tally.pattern_size(), pin.f) << pin.label;
+    EXPECT_EQ(r.tally.slots, pin.slots) << pin.label;
+    EXPECT_EQ(r.passes, pin.passes) << pin.label;
+    EXPECT_EQ(reads.hash, pin.reads) << pin.label;
+  }
 }
 
 // --- stats utilities ---------------------------------------------------------

@@ -42,6 +42,78 @@ TEST(SharedMemory, ZeroSizeRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// CycleContext::peek
+
+TEST(CycleContext, PeekIsUnaccounted) {
+  struct CountingAudit final : CycleAuditHook {
+    int calls = 0;
+    void on_read(Pid, Addr) override { ++calls; }
+    void on_write(Pid, Addr, Word) override { ++calls; }
+    void on_snapshot(Pid) override { ++calls; }
+  };
+  struct CountingOracle final : ReadOracle {
+    int calls = 0;
+    Word read_value(Pid, Addr) override {
+      ++calls;
+      return 77;
+    }
+  };
+
+  // Reliable memory: no budget, no read log, no audit; past the end is 0.
+  SharedMemory mem(8);
+  for (Addr a = 0; a < 8; ++a) mem.write(a, 10 + a);
+  CycleTrace trace;
+  trace.reset_for_cycle(/*log_reads=*/true);
+  CountingAudit audit;
+  {
+    const CycleContext ctx(mem, trace, 0, 0, 1, 2, false, true, &audit);
+    for (Addr a = 0; a < 8; ++a) EXPECT_EQ(ctx.peek(a), 10 + a);
+    EXPECT_EQ(ctx.peek(8), 0);
+    EXPECT_EQ(ctx.reads_used(), 0u);
+  }
+  EXPECT_TRUE(trace.reads.empty());
+  EXPECT_EQ(audit.calls, 0);
+
+  // Under an oracle peek never asks it and reads 0.
+  CountingOracle oracle;
+  {
+    const CycleContext ctx(mem, trace, 0, 0, 1, 2, false, false, nullptr,
+                           nullptr, false, &oracle);
+    EXPECT_EQ(ctx.peek(3), 0);
+  }
+  EXPECT_EQ(oracle.calls, 0);
+
+  // Persistent-cache shadow: peek sees the processor's un-persisted write
+  // exactly as read does.
+  ProcCache cache;
+  cache.entries.push_back({3, 42});
+  {
+    CycleContext ctx(mem, trace, 0, 0, 1, 2, false, false, nullptr, &cache,
+                     true);
+    EXPECT_EQ(ctx.peek(3), 42);
+    EXPECT_EQ(ctx.read(3), 42);
+  }
+
+  // Faulty cells: remapped cells route to their spares and dead cells give
+  // their garbage, through peek as through read.
+  const CellFaultMap faults =
+      CellFaultMap::build({.seed = 5, .cells = 6, .spares = 3}, 32);
+  SharedMemory faulty(32, &faults);
+  for (Addr a = 0; a < 32; ++a) faulty.write(a, 100 + a);
+  bool saw_remapped = false;
+  bool saw_dead = false;
+  for (Addr a = 0; a < 32; ++a) {
+    saw_remapped = saw_remapped || faults.is_remapped(a);
+    saw_dead = saw_dead || faults.is_dead(a);
+    CycleContext ctx(faulty, trace, 0, 0, 1, 2, false, false);
+    const Word peeked = ctx.peek(a);
+    EXPECT_EQ(peeked, ctx.read(a)) << "cell " << a;
+  }
+  EXPECT_TRUE(saw_remapped);
+  EXPECT_TRUE(saw_dead);
+}
+
+// ---------------------------------------------------------------------------
 // Budgets and snapshot gating
 
 TEST(Engine, ReadBudgetEnforced) {

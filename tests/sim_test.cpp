@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <memory>
 #include <ostream>
+#include <stdexcept>
 
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "programs/chain.hpp"
 #include "programs/programs.hpp"
 #include "sim/simulator.hpp"
+#include "sim_workloads.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -317,6 +321,193 @@ TEST(Simulate, LoadBudgetViolationIsReported) {
   Greedy program;
   NoFailures none;
   EXPECT_THROW(simulate(program, none), ConfigError);
+}
+
+TEST(Simulate, StoreBudgetViolationIsReported) {
+  // Same for stores: a step that writes more cells than it declares must
+  // not have its log silently truncated.
+  class Scattering final : public SimProgram {
+   public:
+    std::string_view name() const override { return "scattering"; }
+    Pid processors() const override { return 2; }
+    Addr memory_cells() const override { return 8; }
+    Step steps() const override { return 1; }
+    void step(StepContext& ctx, Pid j, Step) const override {
+      for (Addr a = 0; a < 4; ++a) ctx.store(4 * j + a, 1);  // 4 stores
+    }
+    unsigned max_loads() const override { return 0; }
+    unsigned max_stores() const override { return 1; }  // lies
+    unsigned registers() const override { return 0; }
+  };
+  Scattering program;
+  NoFailures none;
+  EXPECT_THROW(simulate(program, none), ConfigError);
+}
+
+// Forwards every call to `inner` and counts the step calls that exit by
+// unwinding: read-set discovery must let `step` return normally.
+class UnwindCounting final : public SimProgram {
+ public:
+  UnwindCounting(const SimProgram& inner, std::size_t& unwinds)
+      : inner_(inner), unwinds_(unwinds) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  Pid processors() const override { return inner_.processors(); }
+  Addr memory_cells() const override { return inner_.memory_cells(); }
+  Step steps() const override { return inner_.steps(); }
+  void init(std::span<Word> memory) const override { inner_.init(memory); }
+  void step(StepContext& ctx, Pid j, Step t) const override {
+    const Guard guard(unwinds_);
+    inner_.step(ctx, j, t);
+  }
+  unsigned registers() const override { return inner_.registers(); }
+  unsigned max_loads() const override { return inner_.max_loads(); }
+  unsigned max_stores() const override { return inner_.max_stores(); }
+  CrcwModel discipline() const override { return inner_.discipline(); }
+
+ private:
+  class Guard {
+   public:
+    explicit Guard(std::size_t& unwinds)
+        : unwinds_(unwinds), in_flight_(std::uncaught_exceptions()) {}
+    ~Guard() {
+      if (std::uncaught_exceptions() > in_flight_) ++unwinds_;
+    }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+
+   private:
+    std::size_t& unwinds_;
+    int in_flight_;
+  };
+
+  const SimProgram& inner_;
+  std::size_t& unwinds_;
+};
+
+TEST(Simulate, NoExceptionUnwindsThroughStep) {
+  const auto adversary = [](bool faulty) -> std::unique_ptr<Adversary> {
+    if (!faulty) return std::make_unique<NoFailures>();
+    return std::make_unique<RandomAdversary>(
+        91, RandomAdversaryOptions{.fail_prob = 0.1, .restart_prob = 0.5});
+  };
+  for (const auto& w : testing::all_sim_workloads(16, 5)) {
+    for (const bool faulty : {false, true}) {
+      std::size_t unwinds = 0;
+      const UnwindCounting program(*w.program, unwinds);
+      const SimResult r =
+          simulate(program, *adversary(faulty), {.physical_processors = 5});
+      ASSERT_TRUE(r.completed) << w.label;
+      EXPECT_EQ(unwinds, 0u) << w.label;
+      // ARBITRARY programs may elect other winners than the reference's
+      // last-writer rule; the unwrapped executor is their oracle.
+      if (program.discipline() == CrcwModel::kArbitrary) {
+        EXPECT_EQ(r.memory, simulate(*w.program, *adversary(faulty),
+                                     {.physical_processors = 5})
+                                .memory)
+            << w.label;
+      } else {
+        EXPECT_EQ(r.memory, reference_run(*w.program)) << w.label;
+      }
+    }
+  }
+}
+
+TEST(Simulate, StepMayCatchExceptions) {
+  // A step that guards its loads with catch (...) — e.g. around a library
+  // call — must still see exactly the values it loaded.
+  class Guarded final : public SimProgram {
+   public:
+    std::string_view name() const override { return "guarded"; }
+    Pid processors() const override { return 8; }
+    Addr memory_cells() const override { return 8; }
+    Step steps() const override { return 3; }
+    void init(std::span<Word> memory) const override {
+      for (Addr a = 0; a < memory.size(); ++a) memory[a] = a + 1;
+    }
+    void step(StepContext& ctx, Pid j, Step) const override {
+      Word sum = 0;
+      for (Addr d = 0; d < 3; ++d) {
+        try {
+          sum += ctx.load((j + d) % 8);
+        } catch (...) {
+          sum += 1000;  // never taken: loads do not throw
+        }
+      }
+      ctx.store(j, sum);
+    }
+    unsigned registers() const override { return 0; }
+    unsigned max_loads() const override { return 3; }
+    unsigned max_stores() const override { return 1; }
+  };
+  const Guarded program;
+  NoFailures none;
+  const SimResult clean = simulate(program, none, {.physical_processors = 3});
+  ASSERT_TRUE(clean.completed);
+  EXPECT_EQ(clean.memory, reference_run(program));
+  RandomAdversary adversary(33, {.fail_prob = 0.1, .restart_prob = 0.5});
+  const SimResult faulty =
+      simulate(program, adversary, {.physical_processors = 3});
+  ASSERT_TRUE(faulty.completed);
+  EXPECT_EQ(faulty.memory, reference_run(program));
+}
+
+TEST(Simulate, StepExceptionPropagates) {
+  // The step's own exception, raised only once its second load is fetched,
+  // must escape simulate() rather than be mistaken for read-set discovery.
+  class Failing final : public SimProgram {
+   public:
+    std::string_view name() const override { return "failing"; }
+    Pid processors() const override { return 4; }
+    Addr memory_cells() const override { return 4; }
+    Step steps() const override { return 1; }
+    void step(StepContext& ctx, Pid j, Step) const override {
+      const Word a = ctx.load(j);
+      const Word b = ctx.load((j + 1) % 4);
+      if (j == 2) throw std::runtime_error("step failed after two loads");
+      ctx.store(j, a + b);
+    }
+    unsigned registers() const override { return 0; }
+    unsigned max_loads() const override { return 2; }
+    unsigned max_stores() const override { return 1; }
+  };
+  const Failing program;
+  NoFailures none;
+  EXPECT_THROW(simulate(program, none), std::runtime_error);
+}
+
+TEST(ParallelSim, CycleThreadsBitIdentical) {
+  // The executor on a cycle_threads pool: each worker replays its own
+  // lanes' steps (their speculative tails peek shared memory concurrently),
+  // and the run must match the sequential one bit for bit.
+  for (const auto& w : testing::all_sim_workloads(16, 3)) {
+    const SimLayout layout(*w.program, 16);
+    const auto outer =
+        make_simulation_program(*w.program, layout, SimInner::kCombinedVX);
+    WorkTally tallies[2];
+    std::vector<Word> memories[2];
+    const unsigned threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      EngineOptions options;
+      options.read_budget = 5;  // the executor's update cycle (simulate())
+      options.write_budget = 2;
+      if (w.program->discipline() == CrcwModel::kArbitrary) {
+        options.model = CrcwModel::kArbitrary;
+      }
+      options.cycle_threads = threads[i];
+      options.lane_chunk = 2;
+      Engine engine(*outer, options);
+      RandomAdversary adversary(47, {.fail_prob = 0.1, .restart_prob = 0.5});
+      const RunResult run = engine.run(adversary);
+      ASSERT_TRUE(run.goal_met) << w.label;
+      tallies[i] = run.tally;
+      for (Addr a = 0; a < layout.data_cells; ++a) {
+        memories[i].push_back(engine.memory().read(layout.data + a));
+      }
+    }
+    EXPECT_EQ(tallies[0], tallies[1]) << w.label;
+    EXPECT_EQ(memories[0], memories[1]) << w.label;
+  }
 }
 
 }  // namespace
