@@ -9,6 +9,8 @@
 // (combined VX vs X vs V), which Theorem 4.9 motivates.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "bench_common.hpp"
 #include "fault/adversaries.hpp"
 #include "programs/programs.hpp"
@@ -166,13 +168,17 @@ void print_workloads() {
 void BM_Simulate(benchmark::State& state) {
   const Addr n = static_cast<Addr>(state.range(0));
   const Pid p = static_cast<Pid>(state.range(1));
+  const bool batch = state.range(2) != 0;
   PrefixSumProgram program(inputs(n, 3));
   SimResult r;
   for (auto _ : state) {
     NoFailures none;
-    r = simulate(program, none, {.physical_processors = p});
+    SimOptions options{.physical_processors = p};
+    options.batch = batch;
+    r = simulate(program, none, options);
   }
   if (!r.completed) state.SkipWithError("simulation incomplete");
+  if (r.batch_active != batch) state.SkipWithError("unexpected backend");
   state.counters["S"] = static_cast<double>(r.tally.completed_work);
   state.counters["S_over_tauN"] =
       r.tally.completed_work /
@@ -186,15 +192,20 @@ int main(int argc, char** argv) {
   rfsp::print_optimality();
   rfsp::print_inner_ablation();
   rfsp::print_workloads();
-  for (long n : {256L, 1024L}) {
-    for (long div : {100L, 10L, 1L}) {
-      const long p = std::max(1L, n / div);
-      benchmark::RegisterBenchmark(
-          ("E8/prefix-sum/n:" + std::to_string(n) + "/p:" + std::to_string(p))
-              .c_str(),
-          rfsp::BM_Simulate)
-          ->Args({n, p})
-          ->Iterations(1);
+  // The interpreter rows keep their names; the batch rows run the same
+  // simulations on the batched backend (identical tallies).
+  for (const long batch : {0L, 1L}) {
+    for (long n : {256L, 1024L}) {
+      for (long div : {100L, 10L, 1L}) {
+        const long p = std::max(1L, n / div);
+        benchmark::RegisterBenchmark(
+            ("E8/prefix-sum/" + std::string(batch != 0 ? "batch/" : "") +
+             "n:" + std::to_string(n) + "/p:" + std::to_string(p))
+                .c_str(),
+            rfsp::BM_Simulate)
+            ->Args({n, p, batch})
+            ->Iterations(1);
+      }
     }
   }
   benchmark::Initialize(&argc, argv);

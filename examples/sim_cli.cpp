@@ -69,9 +69,12 @@ using namespace rfsp;
                "                  embeds this workload instead of running\n"
                "                  it (analysis/static/; exit 0 clean, 6 on\n"
                "                  findings); verify_cli has the full flags\n"
-               "  --batch 1       request the batched SoA backend; the\n"
-               "                  simulation program publishes no kernels yet\n"
-               "                  so the engine falls back to the interpreter\n"
+               "  --batch 1       run the executor on the batched SoA\n"
+               "                  backend (bit-identical results); the\n"
+               "                  engine falls back to the interpreter for\n"
+               "                  ARBITRARY programs, --audit and non-\n"
+               "                  reliable memory models; the 'backend'\n"
+               "                  line says which ran and why\n"
                "  --memory-model M  reliable|faulty-cells|persistent-cache\n"
                "                  backend of the physical machine's shared\n"
                "                  memory (default reliable); checkpoints\n"
@@ -373,6 +376,12 @@ int main(int argc, char** argv) {
     const auto& t = r.tally;
     std::cout << "physical P       " << p << " (inner " << inner_name
               << ")\n"
+              << "backend          "
+              << (r.batch_active ? "batch" : "interpreter")
+              << (r.batch_fallback.empty()
+                      ? std::string()
+                      : " (batch fallback: " + r.batch_fallback + ")")
+              << '\n'
               << "completed        " << (r.completed ? "yes" : "NO") << '\n'
               << "matches fault-free reference: "
               << (correct ? "yes" : "NO") << '\n'

@@ -3,7 +3,8 @@
 # at the E1 configuration (fault-free, N = P = 2^16) through writeall_cli
 # twice — interpreter and batched backend — and fail if either run misses
 # the goal or if any model-visible number (S, S', |F|, slots, sigma)
-# differs between the modes. Timing is printed for the log but never
+# differs between the modes; then the same for the Theorem 4.1 executor
+# through sim_cli under a restart storm, traces included. Timing is printed for the log but never
 # gated: CI machines are too noisy to assert speedups, and bit-identity is
 # the invariant worth a red build.
 #
@@ -78,6 +79,50 @@ if [ -x "$trace_cli" ]; then
   [ "$status" = 0 ] && echo "trace smoke OK: binary streams bit-identical across modes"
 else
   echo "note: $trace_cli not built — skipping trace bit-identity check"
+fi
+
+# The Theorem 4.1 executor through sim_cli: the batch run must report the
+# batched backend and reproduce the interpreter's summary (tally, sigma,
+# reference check) and its binary trace byte for byte, under a restart
+# storm. prefix-sum and matmul (simulated registers) are COMMON programs,
+# so the engine must not fall back for them.
+sim_cli="$build_dir/examples/sim_cli"
+if [ -x "$sim_cli" ]; then
+  sim_dir=$(mktemp -d)
+  for program in prefix-sum matmul; do
+    for batch in 0 1; do
+      if ! out=$("$sim_cli" --program "$program" --n 256 --p 64 --fail 0.05 \
+                 --batch "$batch" --trace-out "$sim_dir/$program-$batch.bin"); then
+        echo "FAIL: sim $program --batch $batch exited non-zero" >&2
+        echo "$out" >&2
+        status=1
+        continue
+      fi
+      summary=$(grep -E 'completed|matches|\|F\||parallel time|sigma' <<<"$out")
+      backend=$(grep -E '^backend' <<<"$out")
+      if [ "$batch" = 0 ]; then
+        interp_summary=$summary
+      else
+        if [ "$backend" != "backend          batch" ]; then
+          echo "FAIL: sim $program --batch 1 ran on: $backend" >&2
+          status=1
+        fi
+        if [ "$summary" != "$interp_summary" ]; then
+          echo "FAIL: sim $program tally diverges (batch vs interpreter):" >&2
+          diff <(echo "$interp_summary") <(echo "$summary") >&2 || true
+          status=1
+        fi
+      fi
+    done
+    if ! cmp -s "$sim_dir/$program-0.bin" "$sim_dir/$program-1.bin"; then
+      echo "FAIL: sim $program binary trace differs between modes" >&2
+      status=1
+    fi
+  done
+  rm -rf "$sim_dir"
+  [ "$status" = 0 ] && echo "sim smoke OK: executor tallies and traces identical across modes"
+else
+  echo "note: $sim_cli not built — skipping the simulator rows"
 fi
 
 if [ "$status" = 0 ]; then

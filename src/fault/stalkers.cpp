@@ -87,10 +87,12 @@ FaultDecision PostOrderStalker::decide(const MachineView& view) {
 
   // Fold this slot's victims into the failed set (both ascending).
   if (!d.fail_mid_cycle.empty()) {
-    const std::size_t mid = failed_.size();
-    failed_.insert(failed_.end(), d.fail_mid_cycle.begin(),
-                   d.fail_mid_cycle.end());
-    std::inplace_merge(failed_.begin(), failed_.begin() + mid, failed_.end());
+    // Merge into a reused buffer and swap: std::inplace_merge would
+    // allocate a temporary buffer on every slot with victims.
+    merge_buf_.resize(failed_.size() + d.fail_mid_cycle.size());
+    std::merge(failed_.begin(), failed_.end(), d.fail_mid_cycle.begin(),
+               d.fail_mid_cycle.end(), merge_buf_.begin());
+    failed_.swap(merge_buf_);
   }
   return d;
 }

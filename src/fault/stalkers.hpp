@@ -45,6 +45,7 @@ class PostOrderStalker final : public Adversary {
   // decide() fails/restarts processors, so this mirrors the engine's
   // kFailed set without an O(P) status scan per release slot.
   std::vector<Pid> failed_;
+  std::vector<Pid> merge_buf_;  // scratch: merge target, swapped with failed_
 };
 
 // §5: the stalking adversary against the randomized ACC algorithm.

@@ -217,12 +217,20 @@ class SimWorker {
       const Addr base = layout_.log_base(task);
       const Word count = payload_of(mem_.load(base), log_stamp);
       for (Word i = 0; i < count; ++i) {
-        const Addr addr = static_cast<Addr>(payload_of(
-            mem_.load(base + 1 + 2 * static_cast<Addr>(i)), log_stamp));
-        const Word value = payload_of(
-            mem_.load(base + 2 + 2 * static_cast<Addr>(i)), log_stamp);
+        const Word addr_cell = mem_.load(base + 1 + 2 * static_cast<Addr>(i));
+        const Word value_cell =
+            mem_.load(base + 2 + 2 * static_cast<Addr>(i));
+        // A straggler descheduled after reading the count may find the log
+        // already rewritten by a later compute pass. Those pairs are not
+        // this log's (payload_of would read them as address 0, value 0),
+        // and this pass is over, so stop.
+        if ((addr_cell >> kPayloadBits) != log_stamp ||
+            (value_cell >> kPayloadBits) != log_stamp) {
+          return;
+        }
+        const auto addr = static_cast<Addr>(addr_cell & kPayloadOnly);
         RFSP_CHECK_MSG(addr < layout_.scratch, "log address out of range");
-        mem_.store_if_newer(addr, stamped(stamp, value));
+        mem_.store_if_newer(addr, stamped(stamp, value_cell & kPayloadOnly));
       }
     }
   }

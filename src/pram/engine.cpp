@@ -308,12 +308,22 @@ Engine::Engine(const Program& program, EngineOptions options)
   // Non-reliable memory models force the interpreter as well: kernels read
   // the flat memory span directly, which cannot show remapped cells or the
   // per-processor write-back caches.
-  if (options_.batch && audit_ == nullptr && !log_reads_ &&
-      options_.memory_model == MemoryModel::kReliable &&
-      options_.model != CrcwModel::kArbitrary &&
-      options_.model != CrcwModel::kPriority &&
-      options_.read_budget >= 4 && options_.write_budget >= 2) {
-    kernel_ = program_.batch_kernels();
+  if (options_.batch) {
+    if (audit_ != nullptr) {
+      batch_fallback_ = "audit";
+    } else if (log_reads_) {
+      batch_fallback_ = "read-logging";
+    } else if (options_.memory_model != MemoryModel::kReliable) {
+      batch_fallback_ = "memory-model";
+    } else if (options_.model == CrcwModel::kArbitrary ||
+               options_.model == CrcwModel::kPriority) {
+      batch_fallback_ = "crcw-model";
+    } else if (options_.read_budget < 4 || options_.write_budget < 2) {
+      batch_fallback_ = "budgets";
+    } else {
+      kernel_ = program_.batch_kernels();
+      if (kernel_ == nullptr) batch_fallback_ = "no-kernels";
+    }
   }
   if (kernel_ != nullptr) {
     soa_ = SoaStore(p, kernel_->registers());
@@ -843,13 +853,14 @@ void Engine::apply_transitions(const FaultDecision& d) {
                      live_pids_.end());
   }
   if (!d.restart.empty()) {
+    // Merge into a reused buffer and swap: std::inplace_merge would
+    // allocate a temporary buffer on every slot with restarts.
     restart_buf_.assign(d.restart.begin(), d.restart.end());
     std::sort(restart_buf_.begin(), restart_buf_.end());
-    const std::size_t mid = live_pids_.size();
-    live_pids_.insert(live_pids_.end(), restart_buf_.begin(),
-                      restart_buf_.end());
-    std::inplace_merge(live_pids_.begin(), live_pids_.begin() + mid,
-                       live_pids_.end());
+    merge_buf_.resize(live_pids_.size() + restart_buf_.size());
+    std::merge(live_pids_.begin(), live_pids_.end(), restart_buf_.begin(),
+               restart_buf_.end(), merge_buf_.begin());
+    live_pids_.swap(merge_buf_);
   }
 
   // Memory-model moves land last, after the slot's commit (cell_faults kill
@@ -1096,6 +1107,12 @@ RunResult Engine::run(Adversary& adversary) {
     metrics_->gauge("engine.peak_live")
         .set(static_cast<double>(tally_.peak_live));
     metrics_->gauge("engine.goal_met").set(result.goal_met ? 1.0 : 0.0);
+    // Which backend ran the cycles, and why a requested batch did not.
+    metrics_->gauge("engine.backend").set(kernel_ != nullptr ? 1.0 : 0.0);
+    if (!batch_fallback_.empty()) {
+      metrics_->counter("engine.batch_fallback." + std::string(batch_fallback_))
+          .add(1);
+    }
     Histogram& per_pid = metrics_->histogram("engine.restarts_per_processor");
     for (std::uint32_t count : restart_counts_) per_pid.observe(count);
   }

@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accounting/tally.hpp"
@@ -186,15 +187,17 @@ struct EngineOptions {
   // declares it never inspects cycle internals (Adversary::
   // inspects_cycles) and torn writes are off, kernels skip materializing
   // per-PID CycleTraces entirely — the oblivious fast path that makes the
-  // backend pay at scale. The engine silently falls back to the
-  // interpreter whenever per-op hooks demand it: an installed audit hook,
+  // backend pay at scale. The engine falls back to the interpreter
+  // whenever per-op hooks demand it: an installed audit hook,
   // read logging (explicit or forced by the EREW conflict check), budgets
   // below the paper defaults (4 reads / 2 writes — kernels assume full
   // budgets), an ARBITRARY/PRIORITY conflict model (its first-writer-wins
   // rule observes cross-lane-group write order, which batching reorders;
   // COMMON/WEAK cannot observe it), or a program without kernels.
-  // Engine::batch_active() reports which path was chosen. Composes with
-  // cycle_threads: each pool worker batches its own contiguous PID chunk.
+  // Engine::batch_active() reports which path was chosen and
+  // Engine::batch_fallback() why a fallback happened (also as metrics).
+  // Composes with cycle_threads: each pool worker batches its own
+  // contiguous PID chunk.
   bool batch = false;
 
   // Deterministic parallel cycle execution: values > 1 step the live
@@ -346,6 +349,14 @@ class Engine {
   // audit/read-logging/budget constraint forced the interpreter).
   bool batch_active() const { return kernel_ != nullptr; }
 
+  // Why a requested batch run fell back to the interpreter: "audit",
+  // "read-logging", "memory-model", "crcw-model", "budgets" or
+  // "no-kernels" (the program offers none). Empty when batch is active or
+  // was not requested. With metrics on, the run also records the gauge
+  // engine.backend (1 batch, 0 interpreter) and the counter
+  // engine.batch_fallback.<reason>.
+  std::string_view batch_fallback() const { return batch_fallback_; }
+
   // Diagnostics: the incremental unsatisfied-cell count, present iff the
   // program opted in via Program::goal_cells and the engine is using it.
   // After a run it must equal the number of goal cells failing
@@ -427,6 +438,7 @@ class Engine {
   // the slot loop costs O(live + |decision|), not O(P).
   std::vector<Pid> live_pids_;
   std::vector<Pid> restart_buf_;  // scratch for sorted re-insertion
+  std::vector<Pid> merge_buf_;    // merge target, swapped with live_pids_
 
   // Epoch-stamped per-PID marks (validate/commit/transition scratch).
   std::vector<std::uint64_t> mark_stamp_;
@@ -462,6 +474,7 @@ class Engine {
   // `started` flags (set at boot/restart, cleared by fail/halt), which is
   // all such adversaries and validate_decision consult. Decided per run.
   bool batch_traces_ = true;
+  std::string_view batch_fallback_;  // see batch_fallback()
 
   // Observability state (EngineOptions::sink / metrics / attribute_phases).
   // phase_work_ is non-empty iff phase attribution is active; the kPhase

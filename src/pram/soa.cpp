@@ -1,5 +1,8 @@
 #include "pram/soa.hpp"
 
+#include <cstdlib>
+#include <new>
+
 #include "util/error.hpp"
 
 namespace rfsp {
@@ -8,7 +11,11 @@ SoaStore::SoaStore(Pid processors, std::size_t registers,
                    std::uint32_t boot_ctrl)
     : p_(processors), registers_(registers) {
   RFSP_CHECK_MSG(p_ >= 1, "SoaStore needs at least one processor");
-  regs_.assign(registers_ * static_cast<std::size_t>(p_), Word{0});
+  const std::size_t words = registers_ * static_cast<std::size_t>(p_);
+  if (words != 0) {
+    regs_.reset(static_cast<Word*>(std::calloc(words, sizeof(Word))));
+    if (!regs_) throw std::bad_alloc();
+  }
   ctrl_.assign(p_, boot_ctrl);
 }
 

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
@@ -60,10 +61,23 @@ class SoaStore {
 
   // One register's full column (all P lanes), for vectorizable sweeps.
   std::span<const Word> column(std::size_t r) const {
-    return {regs_.data() + r * p_, p_};
+    return {regs_.get() + r * p_, p_};
   }
-  std::span<Word> column(std::size_t r) {
-    return {regs_.data() + r * p_, p_};
+  std::span<Word> column(std::size_t r) { return {regs_.get() + r * p_, p_}; }
+
+  // A band of `count` registers starting at `first`, viewed row-major:
+  // lane pid's `count` words are contiguous. The band is the same storage
+  // as columns [first, first + count), so a kernel that uses one register
+  // range this way must never read it through reg() or column(). Kernels
+  // keep per-lane arrays (e.g. a task's scratch span) there.
+  std::span<Word> band(std::size_t first, std::size_t count, Pid pid) {
+    return {regs_.get() + first * p_ + static_cast<std::size_t>(pid) * count,
+            count};
+  }
+  std::span<const Word> band(std::size_t first, std::size_t count,
+                             Pid pid) const {
+    return {regs_.get() + first * p_ + static_cast<std::size_t>(pid) * count,
+            count};
   }
 
   std::uint32_t ctrl(Pid pid) const { return ctrl_[pid]; }
@@ -72,7 +86,13 @@ class SoaStore {
  private:
   Pid p_ = 0;
   std::size_t registers_ = 0;
-  std::vector<Word> regs_;  // column-major: [r * p_ + pid]
+  // Column-major: [r * p_ + pid]. Zeroed by calloc, which leaves a large
+  // store's fresh pages untouched until a kernel writes them, so a kernel
+  // with many registers pays only for the columns its boot_lane sets.
+  struct Free {
+    void operator()(Word* p) const { std::free(p); }
+  };
+  std::unique_ptr<Word[], Free> regs_;
   std::vector<std::uint32_t> ctrl_;
 };
 
@@ -144,6 +164,26 @@ class LaneEmit {
   LaneLog& log_;
   CycleTrace* tr_;
   Pid pid_;
+};
+
+// CycleContext's read / peek / write surface for one lane of a batched
+// slot: reads and peeks come from the slot-start memory, writes go out
+// through the lane's LaneEmit. Code written once as a template over its
+// context type (a TaskSpec body, writeall/layout.hpp) then runs unchanged
+// on both backends. Like every kernel read, `read` is unmetered, and its
+// address must lie inside memory; `peek` returns 0 past the end, as
+// CycleContext::peek does.
+class LaneCycle {
+ public:
+  LaneCycle(std::span<const Word> mem, LaneEmit& em) : mem_(mem), em_(em) {}
+
+  Word read(Addr a) const { return mem_[a]; }
+  Word peek(Addr a) const { return a < mem_.size() ? mem_[a] : Word{0}; }
+  void write(Addr a, Word v) { em_.write(a, v); }
+
+ private:
+  std::span<const Word> mem_;
+  LaneEmit& em_;
 };
 
 // A Program's cycle bodies compiled to straight-line per-lane kernels over

@@ -1,12 +1,17 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <map>
+#include <memory_resource>
 #include <optional>
+#include <utility>
 
 #include "util/error.hpp"
 #include "writeall/algv.hpp"
 #include "writeall/algx.hpp"
+#include "writeall/kernels.hpp"
 #include "writeall/layout.hpp"
 
 namespace rfsp {
@@ -16,15 +21,21 @@ namespace {
 // StepContext that serves loads from a fetch cache (plus the step's own
 // stores) and records stores into an overlay. The first load the cache
 // cannot serve is the step's next fetch: the context records it as the
-// miss and serves it, and every later load, from CycleContext::peek, so
-// `step` always returns normally. Up to the miss the run depends only on
-// fetched values, so the miss is deterministic given the cache, and
+// miss and serves it, and every later load, from the cycle context's peek,
+// so `step` always returns normally. Up to the miss the run depends only
+// on fetched values, so the miss is deterministic given the cache, and
 // re-running the step every micro-cycle is safe. After it the run is
 // speculative and is discarded: out-of-range loads read 0, out-of-range
 // stores are dropped, and the caller ignores an exception that escapes.
+//
+// `Ctx` is the cycle context of either backend: CycleContext on the
+// interpreter, LaneCycle (pram/soa.hpp) on the batched one.
+template <class Ctx>
 class ReplayContext final : public StepContext {
  public:
-  ReplayContext(const CycleContext& ctx, const SimLayout& layout, Pid j,
+  using Write = std::pair<Addr, Word>;
+
+  ReplayContext(const Ctx& ctx, const SimLayout& layout, Pid j,
                 std::span<const Word> pairs, std::size_t fetched)
       : ctx_(ctx), layout_(layout), j_(j), pairs_(pairs), fetched_(fetched) {}
 
@@ -37,7 +48,7 @@ class ReplayContext final : public StepContext {
   void store(Addr a, Word v) override {
     if (miss_ && a >= layout_.data_cells) return;
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated store out of bounds");
-    overlay_[layout_.data + a] = sim_word(v);
+    put(layout_.data + a, sim_word(v));
   }
 
   Word reg(unsigned r) override {
@@ -49,7 +60,7 @@ class ReplayContext final : public StepContext {
   void set_reg(unsigned r, Word v) override {
     if (miss_ && r >= layout_.reg_count) return;
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
-    overlay_[layout_.reg_cell(j_, r)] = sim_word(v);
+    put(layout_.reg_cell(j_, r), sim_word(v));
   }
 
   // The first load the fetch cache could not serve, if any. When set, the
@@ -57,13 +68,16 @@ class ReplayContext final : public StepContext {
   const std::optional<Addr>& miss() const { return miss_; }
 
   // Final (deduplicated, address-ordered) writes of the completed step.
-  const std::map<Addr, Word>& writes() const { return overlay_; }
+  std::span<const Write> writes() {
+    std::sort(overlay_.begin(), overlay_.end());
+    return overlay_;
+  }
 
  private:
   Word fetch(Addr abs) {
     // Read-your-own-writes within the step.
-    if (const auto it = overlay_.find(abs); it != overlay_.end()) {
-      return it->second;
+    for (const auto& [addr, value] : overlay_) {
+      if (addr == abs) return value;
     }
     if (!miss_) {
       for (std::size_t i = 0; i < fetched_; ++i) {
@@ -74,13 +88,28 @@ class ReplayContext final : public StepContext {
     return ctx_.peek(abs);
   }
 
-  const CycleContext& ctx_;
+  // The overlay is a flat list: a step stores a handful of cells, so a
+  // linear search beats a tree, and the last write to a cell wins.
+  void put(Addr abs, Word v) {
+    for (auto& [addr, value] : overlay_) {
+      if (addr == abs) {
+        value = v;
+        return;
+      }
+    }
+    overlay_.emplace_back(abs, v);
+  }
+
+  const Ctx& ctx_;
   const SimLayout& layout_;
   Pid j_;
   std::span<const Word> pairs_;
   std::size_t fetched_;
   std::optional<Addr> miss_;
-  std::map<Addr, Word> overlay_;
+  // Typical steps fit the inline arena, so the overlay never allocates.
+  std::array<std::byte, 512> arena_;
+  std::pmr::monotonic_buffer_resource pool_{arena_.data(), arena_.size()};
+  std::pmr::vector<Write> overlay_{&pool_};
 };
 
 // Pass-A task: compute simulated processor j's step t into scratch log j.
@@ -101,13 +130,25 @@ class ComputeTask final : public TaskSpec {
 
   void run(CycleContext& ctx, Addr task, unsigned /*k*/,
            std::span<Word> scratch) const override {
+    body(ctx, task, scratch);
+  }
+
+  bool has_lane_form() const override { return true; }
+  void run_lane(LaneCycle& lane, Addr task, unsigned /*k*/,
+                std::span<Word> scratch) const override {
+    body(lane, task, scratch);
+  }
+
+ private:
+  template <class Ctx>
+  void body(Ctx& ctx, Addr task, std::span<Word> scratch) const {
     Word& fetched = scratch[0];
     Word& emitted = scratch[1];
     const std::span<Word> pairs = scratch.subspan(2);
     const Pid j = static_cast<Pid>(task);
 
-    ReplayContext replay(ctx, layout_, j, pairs,
-                         static_cast<std::size_t>(fetched));
+    ReplayContext<Ctx> replay(ctx, layout_, j, pairs,
+                              static_cast<std::size_t>(fetched));
     try {
       program_.step(replay, j, t_);
     } catch (...) {
@@ -126,21 +167,21 @@ class ComputeTask final : public TaskSpec {
       return;
     }
 
-    const auto& writes = replay.writes();
+    const std::span<const typename ReplayContext<Ctx>::Write> writes =
+        replay.writes();
     if (writes.size() > layout_.max_writes) {
       throw ConfigError("SimProgram::step exceeds its declared store "
                         "budget (max_stores + registers)");
     }
     const Word count = static_cast<Word>(writes.size());
     if (emitted < count) {
-      // Emit write pair #emitted (address order — std::map iteration).
-      auto it = writes.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(emitted));
+      // Emit write pair #emitted (address order).
+      const auto& [addr, value] = writes[static_cast<std::size_t>(emitted)];
       const Addr base = layout_.scratch_base(j);
       ctx.write(base + 1 + 2 * static_cast<Addr>(emitted),
-                stamped(stamp_, static_cast<Word>(it->first)));
+                stamped(stamp_, static_cast<Word>(addr)));
       ctx.write(base + 2 + 2 * static_cast<Addr>(emitted),
-                stamped(stamp_, it->second));
+                stamped(stamp_, value));
       ++emitted;
     } else if (emitted == count) {
       // All pairs are in place: publish the log length (the commit pass
@@ -152,7 +193,6 @@ class ComputeTask final : public TaskSpec {
     // Later micro-cycles of this task are no-ops (fixed-length schedule).
   }
 
- private:
   const SimProgram& program_;
   const SimLayout& layout_;
   Step t_;
@@ -182,6 +222,18 @@ class CommitTask final : public TaskSpec {
 
   void run(CycleContext& ctx, Addr task, unsigned k,
            std::span<Word> scratch) const override {
+    body(ctx, task, k, scratch);
+  }
+
+  bool has_lane_form() const override { return true; }
+  void run_lane(LaneCycle& lane, Addr task, unsigned k,
+                std::span<Word> scratch) const override {
+    body(lane, task, k, scratch);
+  }
+
+ private:
+  template <class Ctx>
+  void body(Ctx& ctx, Addr task, unsigned k, std::span<Word> scratch) const {
     const Addr base = layout_.scratch_base(task);
     if (k == 0) {
       scratch[0] =
@@ -208,10 +260,39 @@ class CommitTask final : public TaskSpec {
     ctx.write(addr, value);
   }
 
- private:
   const SimLayout& layout_;
   Word log_stamp_;
   Word wa_stamp_;
+};
+
+// Everything one pass's Write-All instance refers to: the pass's task
+// (pass 2t computes step t, pass 2t + 1 commits it), its config and its
+// geometry. The interpreter keeps one per processor state; the batched
+// kernel builds one per call, on the stack.
+class PassSpec {
+ public:
+  PassSpec(const SimProgram& sim, const SimLayout& layout, std::uint64_t pass)
+      : compute_(sim, layout, pass / 2, static_cast<Word>(pass) + 1),
+        commit_(layout, static_cast<Word>(pass), static_cast<Word>(pass) + 1),
+        wa_((pass % 2) == 0 ? layout.wa_compute : layout.wa_commit) {
+    config_.n = layout.n;
+    config_.p = layout.p;
+    config_.stamp = static_cast<Word>(pass) + 1;
+    config_.task = (pass % 2) == 0 ? static_cast<const TaskSpec*>(&compute_)
+                                   : &commit_;
+  }
+  PassSpec(const PassSpec&) = delete;
+  PassSpec& operator=(const PassSpec&) = delete;
+
+  const WriteAllConfig& config() const { return config_; }
+  const CombinedLayout& wa() const { return wa_; }
+
+ private:
+  // Both tasks are a few words; the pass uses one of them.
+  ComputeTask compute_;
+  CommitTask commit_;
+  WriteAllConfig config_;
+  const CombinedLayout& wa_;
 };
 
 }  // namespace
@@ -284,6 +365,9 @@ class SimulationProgram final : public Program {
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
+
+  // The whole executor as lane loops (SimBatchKernel below).
+  std::unique_ptr<BatchKernel> batch_kernels() const override;
 
   bool goal(const SharedMemory& mem) const override {
     return phase_pass(mem.read(layout_.phase)) >= final_pass_;
@@ -372,7 +456,7 @@ class SimProcState final : public ProcessorState {
     advance_from_.reset();
     if (r.get_bool()) advance_from_ = r.get_u64();
     inner_.reset();
-    task_.reset();
+    spec_.reset();
     if (r.get_bool()) {
       const Slot start = static_cast<Slot>(r.get_u64());
       build(pass, start);
@@ -393,35 +477,21 @@ class SimProcState final : public ProcessorState {
 
  private:
   void build(std::uint64_t pass, Slot start) {
-    const SimLayout& layout = outer_.layout();
-    const Step t = pass / 2;
-    const bool compute = (pass % 2) == 0;
-    const Word stamp = static_cast<Word>(pass) + 1;
-    if (compute) {
-      task_ = std::make_unique<ComputeTask>(outer_.sim(), layout, t, stamp);
-    } else {
-      task_ = std::make_unique<CommitTask>(layout, stamp - 1, stamp);
-    }
-    const CombinedLayout& wa =
-        compute ? layout.wa_compute : layout.wa_commit;
-    // The inner states keep a reference to their config, so it must outlive
-    // them: store this pass's config in the member the new state will bind
-    // to. The outgoing inner_ (destroyed by the assignments below) never
-    // touches its config during destruction.
-    config_ = WriteAllConfig{};
-    config_.n = layout.n;
-    config_.p = layout.p;
-    config_.stamp = stamp;
-    config_.task = task_.get();
+    // The inner state keeps references into the pass spec, so it goes
+    // first; then the spec is rebuilt in place for the new pass.
+    inner_.reset();
+    spec_.emplace(outer_.sim(), outer_.layout(), pass);
+    const WriteAllConfig& config = spec_->config();
+    const CombinedLayout& wa = spec_->wa();
     switch (outer_.inner()) {
       case SimInner::kCombinedVX:
-        inner_ = std::make_unique<CombinedState>(config_, wa, pid_, start);
+        inner_ = std::make_unique<CombinedState>(config, wa, pid_, start);
         break;
       case SimInner::kX:
-        inner_ = std::make_unique<AlgXState>(config_, wa.x, pid_, wa.done);
+        inner_ = std::make_unique<AlgXState>(config, wa.x, pid_, wa.done);
         break;
       case SimInner::kV:
-        inner_ = std::make_unique<AlgVState>(config_, wa.v, pid_, wa.done,
+        inner_ = std::make_unique<AlgVState>(config, wa.v, pid_, wa.done,
                                              start, /*clock_stride=*/1);
         break;
     }
@@ -434,8 +504,7 @@ class SimProcState final : public ProcessorState {
   std::uint64_t pass_ = ~std::uint64_t{0};
   Slot inner_start_ = 0;  // build()'s start slot, for checkpointing
   std::optional<std::uint64_t> advance_from_;
-  std::unique_ptr<TaskSpec> task_;
-  WriteAllConfig config_;  // referent of inner_'s config reference
+  std::optional<PassSpec> spec_;  // referent of inner_'s config and layout
   std::unique_ptr<ProcessorState> inner_;
 };
 
@@ -451,6 +520,183 @@ std::unique_ptr<ProcessorState> SimulationProgram::load_state(
   RFSP_CHECK_MSG(r.exhausted(),
                  "trailing words in a simulation checkpoint state");
   return state;
+}
+
+// The executor on the batched backend: one lane per physical processor,
+// running SimProcState::cycle — the phase poll, the advance cycle, the
+// pass rebuild — around the pass's TaskLanes instance (writeall/
+// kernels.hpp). The phase word is one cell every lane reads, so each call
+// builds the pass's spec and lanes once, on the stack; a rebuild or a
+// restart is a register reset. One control state: the lanes run in
+// ascending PID order, as the interpreter does.
+//
+// Lane registers: the TaskLanes block first, then SimProcState's fields —
+// pass_, advance_from_ (0 = none, else pass + 1), whether an inner
+// instance exists, and its start slot — kept as one band
+// (SoaStore::band).
+class SimBatchKernel final : public BatchKernel {
+ public:
+  explicit SimBatchKernel(const SimulationProgram& outer)
+      : outer_(outer),
+        scratch_cap_(std::max(
+            PassSpec(outer.sim(), outer.layout(), 0).config().task
+                ->scratch_words(),
+            PassSpec(outer.sim(), outer.layout(), 1).config().task
+                ->scratch_words())),
+        wrap_(TaskLanes::kRegisters + 2 * scratch_cap_) {}
+
+  std::size_t registers() const override { return wrap_ + kFields; }
+  std::uint32_t control_states() const override { return 1; }
+
+  void boot_lane(SoaStore& soa, Pid pid) const override {
+    const std::span<Word> f = fields(soa, pid);
+    f[kPass] = static_cast<Word>(~std::uint64_t{0});
+    f[kAdvance] = 0;
+    f[kInner] = 0;
+    f[kInnerStart] = 0;
+  }
+
+  void run(std::uint32_t /*ctrl*/, std::span<const Pid> pids,
+           const BatchContext& ctx, SoaStore& soa) const override {
+    const SimLayout& layout = outer_.layout();
+    const Word ph = ctx.mem[layout.phase];
+    const std::uint64_t pass = phase_pass(ph);
+    if (pass >= outer_.final_pass()) {  // simulation finished
+      for (const Pid pid : pids) LaneEmit(ctx, pid).halt();
+      return;
+    }
+    const PassSpec spec(outer_.sim(), layout, pass);
+    const TaskLanes lanes(spec.config(), spec.wa(), scratch_cap_);
+    TaskLanes::Loop loop{ctx.mem, soa};
+    const Word advancing = static_cast<Word>(pass + 1);
+    for (const Pid pid : pids) {
+      LaneEmit em(ctx, pid);
+      const std::span<Word> f = fields(soa, pid);
+      if (f[kAdvance] == advancing) {
+        em.write(layout.phase, phase_encode(pass + 1, ctx.slot + 1));
+        f[kAdvance] = 0;
+        continue;
+      }
+      f[kAdvance] = 0;  // someone else advanced it first
+      if (f[kInner] == 0 || static_cast<std::uint64_t>(f[kPass]) != pass) {
+        build(lanes, soa, pid, pass, phase_start(ph));
+      }
+      if (!inner_cycle(lanes, loop, pid, ctx.slot,
+                       static_cast<Slot>(f[kInnerStart]), em)) {
+        f[kInner] = 0;
+        f[kAdvance] = advancing;
+      }
+    }
+  }
+
+  // SimProcState::save_state's word stream.
+  void save_lane(const SoaStore& soa, Pid pid,
+                 std::vector<Word>& out) const override {
+    WordWriter w(out);
+    const std::span<const Word> f = fields(soa, pid);
+    const auto pass = static_cast<std::uint64_t>(f[kPass]);
+    w.put_u64(pass);
+    w.put_bool(f[kAdvance] != 0);
+    if (f[kAdvance] != 0) {
+      w.put_u64(static_cast<std::uint64_t>(f[kAdvance]) - 1);
+    }
+    w.put_bool(f[kInner] != 0);
+    if (f[kInner] == 0) return;
+    const auto start = static_cast<Slot>(f[kInnerStart]);
+    w.put_u64(start);
+    const PassSpec spec(outer_.sim(), outer_.layout(), pass);
+    const TaskLanes lanes(spec.config(), spec.wa(), scratch_cap_);
+    switch (outer_.inner()) {
+      case SimInner::kCombinedVX:
+        w.put_u64(start);  // CombinedState start_slot_
+        lanes.save_v(soa, pid, start, 2, w);
+        lanes.save_x(soa, pid, w);
+        break;
+      case SimInner::kX:
+        lanes.save_x(soa, pid, w);
+        break;
+      case SimInner::kV:
+        lanes.save_v(soa, pid, start, 1, w);
+        break;
+    }
+  }
+
+  void load_lane(SoaStore& soa, Pid pid,
+                 std::span<const Word> data) const override {
+    WordReader r(data);
+    boot_lane(soa, pid);
+    const std::uint64_t pass = r.get_u64();
+    if (r.get_bool()) {
+      fields(soa, pid)[kAdvance] = static_cast<Word>(r.get_u64() + 1);
+    }
+    if (r.get_bool()) {
+      const auto start = static_cast<Slot>(r.get_u64());
+      const PassSpec spec(outer_.sim(), outer_.layout(), pass);
+      const TaskLanes lanes(spec.config(), spec.wa(), scratch_cap_);
+      build(lanes, soa, pid, pass, start);
+      switch (outer_.inner()) {
+        case SimInner::kCombinedVX:
+          if (r.get_u64() != start) {
+            throw ConfigError("checkpoint state does not match the batched "
+                              "kernel: unexpected combined start slot");
+          }
+          lanes.load_v(soa, pid, start, 2, r);
+          lanes.load_x(soa, pid, r);
+          break;
+        case SimInner::kX:
+          lanes.load_x(soa, pid, r);
+          break;
+        case SimInner::kV:
+          lanes.load_v(soa, pid, start, 1, r);
+          break;
+      }
+    }
+    fields(soa, pid)[kPass] = static_cast<Word>(pass);
+    RFSP_CHECK_MSG(r.exhausted(),
+                   "trailing words in a simulation checkpoint state");
+  }
+
+ private:
+  enum : std::size_t { kPass = 0, kAdvance, kInner, kInnerStart, kFields };
+
+  std::span<Word> fields(SoaStore& soa, Pid pid) const {
+    return soa.band(wrap_, kFields, pid);
+  }
+  std::span<const Word> fields(const SoaStore& soa, Pid pid) const {
+    return soa.band(wrap_, kFields, pid);
+  }
+
+  // SimProcState::build: a fresh inner instance for `pass` from `start`.
+  void build(const TaskLanes& lanes, SoaStore& soa, Pid pid,
+             std::uint64_t pass, Slot start) const {
+    lanes.reset(soa, pid);
+    const std::span<Word> f = fields(soa, pid);
+    f[kPass] = static_cast<Word>(pass);
+    f[kInner] = 1;
+    f[kInnerStart] = static_cast<Word>(start);
+  }
+
+  // The inner state's cycle(): CombinedState, AlgXState or AlgVState.
+  bool inner_cycle(const TaskLanes& lanes, TaskLanes::Loop& loop, Pid pid,
+                   Slot slot, Slot start, LaneEmit& em) const {
+    switch (outer_.inner()) {
+      case SimInner::kCombinedVX:
+        return lanes.vx_cycle(loop, pid, slot, start, em);
+      case SimInner::kX:
+        return lanes.x_cycle(loop, pid, em);
+      case SimInner::kV:
+        return lanes.v_cycle(loop, pid, slot, start, 1, em);
+    }
+    return false;
+  }
+
+  const SimulationProgram& outer_;
+  std::size_t scratch_cap_;
+  std::size_t wrap_;  // first SimProcState register
+};
+
+std::unique_ptr<BatchKernel> SimulationProgram::batch_kernels() const {
+  return std::make_unique<SimBatchKernel>(*this);
 }
 
 }  // namespace
@@ -500,6 +746,8 @@ SimResult simulate(const SimProgram& program, Adversary& adversary,
   result.tally = run.tally;
   result.completed = run.goal_met;
   result.passes = phase_pass(engine.memory().read(layout.phase));
+  result.batch_active = engine.batch_active();
+  result.batch_fallback = engine.batch_fallback();
   result.memory.reserve(layout.data_cells);
   for (Addr i = 0; i < layout.data_cells; ++i) {
     result.memory.push_back(engine.memory().read(layout.data + i));

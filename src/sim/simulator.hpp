@@ -27,6 +27,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/adversary.hpp"
@@ -42,10 +43,14 @@ struct SimOptions {
   Pid physical_processors = 0;  // P (1 <= P <= N); 0 = P = N
   SimInner inner = SimInner::kCombinedVX;
   Slot max_slots = Slot{1} << 26;
-  // Batched-backend passthrough (EngineOptions::batch). The simulation
-  // program does not publish cycle kernels today, so this is forwarded for
-  // interface parity and falls back to the interpreter; it becomes live the
-  // moment the simulation's pass programs gain kernels.
+  // Run the executor on the batched SoA backend (EngineOptions::batch):
+  // every physical processor is a lane of one kernel that runs the phase
+  // poll, the pass rebuild and the embedded Write-All instance, with the
+  // compute/commit tasks in their lane forms. Bit-identical to the
+  // interpreter in tally, memory, trace stream and checkpoints. The engine
+  // still falls back for what no kernel serves — an ARBITRARY program, an
+  // audit hook, a non-reliable memory model — and SimResult reports which
+  // backend ran.
   bool batch = false;
   // Observability passthrough (see obs/trace.hpp, obs/metrics.hpp): the
   // engine emits slot/failure/restart/halt events to `sink` and run totals
@@ -85,6 +90,8 @@ struct SimResult {
   bool completed = false;        // all τ steps simulated
   std::vector<Word> memory;      // final simulated shared memory
   std::uint64_t passes = 0;      // Write-All passes executed (2τ)
+  bool batch_active = false;     // the batched backend ran (Engine)
+  std::string batch_fallback;    // why a requested batch did not (Engine)
 };
 
 // Memory map of a simulation run (exposed for tests and adversaries).

@@ -70,8 +70,8 @@ class CombinedVX final : public WriteAllProgram {
   // ("v-alloc" / "v-work" / "v-update"). Observability attribution only.
   std::optional<PhaseSchedule> phase_schedule() const override;
 
-  // Batched backend (writeall/kernels.cpp); nullptr when a TaskSpec is
-  // configured (task micro-cycles need the per-op CycleContext).
+  // Batched backend (writeall/kernels.cpp): the task-mode kernel when the
+  // TaskSpec has a lane form, nullptr when it has none.
   std::unique_ptr<BatchKernel> batch_kernels() const override;
 
   // goal() is the shared completion flag turning non-zero.

@@ -44,23 +44,6 @@ constexpr std::uint32_t kWaiting = 1;
 // write at most 2 cells per cycle and the engine only selects a kernel
 // when the configured budgets cover the interpreter's usage.
 
-// Per-slot memo for the allocation descent (W's rank split and V's PID
-// split). Every lane at one progress-tree node with one live interval
-// [lo, hi) computes the same unassigned counts and the same 64-bit split
-// division — and lanes walk a group in ascending PID order, so equal keys
-// arrive in long runs. A one-entry cache keyed on (node, lo, hi) therefore
-// removes nearly every division (the single most expensive ALU op of the
-// alloc slots) while staying bit-identical: the cached values are pure
-// functions of the key and the slot-start memory.
-struct AllocMemo {
-  Addr node = 0;  // 0 = empty (tree node ids start at 1)
-  Pid lo = 0;
-  Pid hi = 0;
-  Addr u = 0;   // unassigned leaves below `node`
-  Addr rl = 0;  // real leaves below the left child
-  Pid nl = 0;   // lanes sent left (meaningful only when u > 0)
-};
-
 inline void expect_word(WordReader& r, std::uint64_t want, const char* what) {
   if (r.get_u64() != want) {
     throw ConfigError(std::string("checkpoint state does not match the "
@@ -72,12 +55,16 @@ inline void expect_word(WordReader& r, std::uint64_t want, const char* what) {
 // ---------------------------------------------------------------------------
 // Algorithm X: one navigate cycle for one lane. All traversal state lives
 // in shared memory (w[pid]), so the lane body is a pure function of the
-// slot-start memory — shared verbatim by the standalone X kernel and the
-// odd slots of the combined kernel.
+// slot-start memory — shared verbatim by the standalone X kernel, the
+// odd slots of the combined kernel and the task-mode lanes. `visit(element,
+// pos)` is the visit of an unvisited leaf: the plain element write in the
+// task-free kernels, entering task mode in the task-mode lanes.
 
+template <class Emit, class Visit>
 void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
                      const std::optional<Addr>& done_flag,
-                     std::span<const Word> mem, Pid pid, LaneEmit& em) {
+                     std::span<const Word> mem, Pid pid, Emit& em,
+                     Visit&& visit) {
   const Word stamp = config.stamp;
 
   const Word wv = payload_of(mem[lay.w(pid)], stamp);
@@ -123,7 +110,7 @@ void x_navigate_lane(const WriteAllConfig& config, const XLayout& lay,
       }
       return;
     }
-    em.write(lay.x(element), stamped(stamp, 1));
+    visit(element, pos);
     return;
   }
 
@@ -185,7 +172,10 @@ void x_navigate_group(const WriteAllConfig& config, const XLayout& lay,
       }
     }
     LaneEmit em(ctx, pids[i]);
-    x_navigate_lane(config, lay, done_flag, mem, pids[i], em);
+    x_navigate_lane(config, lay, done_flag, mem, pids[i], em,
+                    [&](Addr element, Addr) {
+                      em.write(lay.x(element), stamped(stamp, 1));
+                    });
   }
 }
 
@@ -249,9 +239,10 @@ void v_run_waiting(const WriteAllConfig& config, const VLayout& lay,
   }
 }
 
+template <class Emit>
 void v_alloc_lane(const VLayout& lay, const std::optional<Addr>& done_flag,
                   Word stamp, std::span<const Word> mem, SoaStore& soa,
-                  Pid pid, LaneEmit& em, Slot k, AllocMemo& memo) {
+                  Pid pid, Emit& em, Slot k, AllocMemo& memo) {
   const Addr node = static_cast<Addr>(soa.reg(kVNode, pid));
   const Addr left = TreeNav::left(node);
   const Addr right = TreeNav::right(node);
@@ -299,6 +290,25 @@ void v_alloc_lane(const VLayout& lay, const std::optional<Addr>& done_flag,
   soa.reg(kVNode, pid) = static_cast<Word>(next);
   if (k + 1 == lay.phase_alloc) {
     soa.reg(kVLeaf, pid) = static_cast<Word>(next - lay.leaves);
+  }
+}
+
+// One phase-3' cycle above the leaf (m >= 1): sum the children of the
+// lane's level-m ancestor into it; the root's full count ends the instance.
+template <class Emit>
+void v_update_lane(const VLayout& lay, const std::optional<Addr>& done_flag,
+                   Word stamp, std::span<const Word> mem, Addr leaf, Slot m,
+                   Emit& em) {
+  const Addr v =
+      TreeNav::ancestor(lay.leaf_node(leaf), static_cast<unsigned>(m));
+  const Word cl = payload_of(mem[lay.c(TreeNav::left(v))], stamp);
+  const Word cr = payload_of(mem[lay.c(TreeNav::right(v))], stamp);
+  const Word sum = cl + cr;
+  em.write(lay.c(v), stamped(stamp, sum));
+  if (m == lay.phase_update - 1 &&
+      sum == static_cast<Word>(lay.leaves_real)) {
+    if (done_flag) em.write(*done_flag, stamped(stamp, 1));
+    em.halt();
   }
 }
 
@@ -375,18 +385,8 @@ void v_run_active(const WriteAllConfig& config, const VLayout& lay,
     }
     const Pid pid = pids[i];
     LaneEmit em(ctx, pid);
-    const Addr leaf_node =
-        lay.leaf_node(static_cast<Addr>(soa.reg(kVLeaf, pid)));
-    const Addr v = TreeNav::ancestor(leaf_node, static_cast<unsigned>(m));
-    const Word cl = payload_of(ctx.mem[lay.c(TreeNav::left(v))], stamp);
-    const Word cr = payload_of(ctx.mem[lay.c(TreeNav::right(v))], stamp);
-    const Word sum = cl + cr;
-    em.write(lay.c(v), stamped(stamp, sum));
-    if (m == lay.phase_update - 1 &&
-        sum == static_cast<Word>(lay.leaves_real)) {
-      if (done_flag) em.write(*done_flag, stamped(stamp, 1));
-      em.halt();
-    }
+    v_update_lane(lay, done_flag, stamp, ctx.mem,
+                  static_cast<Addr>(soa.reg(kVLeaf, pid)), m, em);
   }
 }
 
@@ -811,7 +811,265 @@ class VxBatchKernel final : public BatchKernel {
   const CombinedLayout& layout_;
 };
 
+// ---------------------------------------------------------------------------
+// Task-mode VX kernel: the combined interleave over TaskLanes, one lane at a
+// time (standalone CombinedVX whose TaskSpec has a lane form).
+
+class VxTaskBatchKernel final : public BatchKernel {
+ public:
+  VxTaskBatchKernel(const WriteAllConfig& config, const CombinedLayout& layout)
+      : lanes_(config, layout, config.task->scratch_words()) {}
+
+  std::size_t registers() const override { return lanes_.registers(); }
+  std::uint32_t control_states() const override { return 1; }
+
+  void boot_lane(SoaStore& soa, Pid pid) const override {
+    lanes_.reset(soa, pid);
+  }
+
+  void run(std::uint32_t /*ctrl*/, std::span<const Pid> pids,
+           const BatchContext& ctx, SoaStore& soa) const override {
+    TaskLanes::Loop loop{ctx.mem, soa};
+    for (const Pid pid : pids) {
+      LaneEmit em(ctx, pid);
+      if (!lanes_.vx_cycle(loop, pid, ctx.slot, 0, em)) em.halt();
+    }
+  }
+
+  void save_lane(const SoaStore& soa, Pid pid,
+                 std::vector<Word>& out) const override {
+    WordWriter w(out);
+    w.put_u64(0);  // CombinedState start_slot_
+    lanes_.save_v(soa, pid, 0, 2, w);
+    lanes_.save_x(soa, pid, w);
+  }
+
+  void load_lane(SoaStore& soa, Pid pid,
+                 std::span<const Word> data) const override {
+    WordReader r(data);
+    expect_word(r, 0, "combined start slot");
+    lanes_.load_v(soa, pid, 0, 2, r);
+    lanes_.load_x(soa, pid, r);
+    if (!r.exhausted()) {
+      throw ConfigError("trailing words in a VX checkpoint state");
+    }
+  }
+
+ private:
+  TaskLanes lanes_;
+};
+
+// Emission of an embedded instance's cycle: writes go to the lane; a halt
+// only records that the instance finished, so the caller decides what the
+// lane does next (the interpreter states' cycle() returning false).
+struct InstanceEmit {
+  LaneEmit& lane;
+  bool done = false;
+  void write(Addr a, Word v) { lane.write(a, v); }
+  void halt() { done = true; }
+};
+
+// Task-mode registers (see TaskLanes in kernels.hpp); V's node / lo / hi /
+// leaf stay at kVNode..kVLeaf. X's modes number as AlgXState::Mode does.
+constexpr std::size_t kVWaiting = 4;
+constexpr std::size_t kXMode = 5;
+constexpr std::size_t kXLeaf = 6;
+constexpr std::size_t kXStep = 7;
+constexpr Word kXNavigate = 0;
+constexpr Word kXTask = 1;
+constexpr Word kXDoneMark = 2;
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// TaskLanes
+
+TaskLanes::TaskLanes(const WriteAllConfig& config,
+                     const CombinedLayout& layout, std::size_t scratch_cap)
+    : config_(config), layout_(layout), done_(layout.done),
+      scratch_cap_(scratch_cap),
+      scratch_words_(config.task->scratch_words()),
+      task_cycles_(config.task->cycles_per_task()) {
+  RFSP_CHECK_MSG(config.task->has_lane_form(),
+                 "task-mode lanes need a TaskSpec with a lane form");
+  RFSP_CHECK(scratch_words_ <= scratch_cap_);
+}
+
+void TaskLanes::reset(SoaStore& soa, Pid pid) const {
+  soa.reg(kVNode, pid) = 1;
+  soa.reg(kVLo, pid) = 0;
+  soa.reg(kVHi, pid) = 0;
+  soa.reg(kVLeaf, pid) = 0;
+  soa.reg(kVWaiting, pid) = 1;
+  soa.reg(kXMode, pid) = kXNavigate;
+  soa.reg(kXLeaf, pid) = 0;
+  soa.reg(kXStep, pid) = 0;
+  const std::span<Word> band = soa.band(kRegisters, 2 * scratch_cap_, pid);
+  std::fill(band.begin(), band.end(), Word{0});
+}
+
+bool TaskLanes::vx_cycle(Loop& loop, Pid pid, Slot slot, Slot start,
+                         LaneEmit& em) const {
+  // CombinedState's parity test runs on the wrapped difference.
+  return (slot - start) % 2 == 0 ? v_cycle(loop, pid, slot, start, 2, em)
+                                 : x_cycle(loop, pid, em);
+}
+
+bool TaskLanes::v_cycle(Loop& loop, Pid pid, Slot slot, Slot start,
+                        Slot clock_stride, LaneEmit& em) const {
+  RFSP_CHECK_MSG(slot >= start, "V state used before its start slot");
+  return v_phase(loop, pid,
+                 ((slot - start) / clock_stride) % layout_.v.iteration, em);
+}
+
+// AlgVState::cycle with the done flag, over the lane's registers, at
+// position `phi` of V's iteration.
+bool TaskLanes::v_phase(Loop& loop, Pid pid, Slot phi, LaneEmit& em) const {
+  const VLayout& lay = layout_.v;
+  const std::span<const Word> mem = loop.mem;
+  SoaStore& soa = loop.soa;
+  const Word stamp = config_.stamp;
+  const auto done_seen = [&] {
+    return payload_of(mem[layout_.done], stamp) != 0;
+  };
+
+  if (soa.reg(kVWaiting, pid) != 0) {
+    if (phi != 0) {
+      // Restarted mid-iteration: wait for the wrap-around, watching the
+      // done flag meanwhile.
+      if (done_seen()) return false;
+      if (phi == lay.iteration - 1) soa.reg(kVWaiting, pid) = 0;
+      return true;
+    }
+    soa.reg(kVWaiting, pid) = 0;  // booted exactly at an iteration boundary
+  }
+
+  if (phi == 0) {
+    soa.reg(kVNode, pid) = 1;
+    soa.reg(kVLo, pid) = 0;
+    soa.reg(kVHi, pid) = static_cast<Word>(lay.p);
+    soa.reg(kVLeaf, pid) = 0;
+  }
+
+  if (phi < lay.phase_alloc) {
+    if (phi == 0 && done_seen()) return false;
+    InstanceEmit inst{em};
+    v_alloc_lane(lay, done_, stamp, mem, soa, pid, inst, phi, loop.memo);
+    return !inst.done;
+  }
+
+  const Addr leaf = static_cast<Addr>(soa.reg(kVLeaf, pid));
+  if (phi < lay.phase_alloc + lay.phase_work) {
+    // Leaf work: each element's task micro-cycles, then its x mark.
+    const Slot j = phi - lay.phase_alloc;
+    const unsigned sub = static_cast<unsigned>(j % (task_cycles_ + 1));
+    const Addr g =
+        leaf * lay.elems_per_leaf + static_cast<Addr>(j / (task_cycles_ + 1));
+    if (g >= lay.n) return true;  // padding inside the last real leaf
+    if (sub < task_cycles_) {
+      const std::span<Word> scratch = v_scratch(soa, pid);
+      if (sub == 0) std::fill(scratch.begin(), scratch.end(), Word{0});
+      LaneCycle lane(mem, em);
+      config_.task->run_lane(lane, g, sub, scratch);
+    } else {
+      em.write(lay.x(g), stamped(stamp, 1));
+    }
+    return true;
+  }
+
+  const Slot m = phi - lay.phase_alloc - lay.phase_work;
+  if (m == 0) {
+    em.write(lay.c(lay.leaf_node(leaf)), stamped(stamp, 1));
+    if (lay.depth == 0) {  // one-leaf tree: the leaf is the root
+      em.write(layout_.done, stamped(stamp, 1));
+      return false;
+    }
+    return true;
+  }
+  InstanceEmit inst{em};
+  v_update_lane(lay, done_, stamp, mem, leaf, m, inst);
+  return !inst.done;
+}
+
+// AlgXState::cycle (PID-bit descent) over the lane's registers.
+bool TaskLanes::x_cycle(Loop& loop, Pid pid, LaneEmit& em) const {
+  const XLayout& lay = layout_.x;
+  SoaStore& soa = loop.soa;
+  Word& mode = soa.reg(kXMode, pid);
+  if (mode == kXNavigate) {
+    InstanceEmit inst{em};
+    x_navigate_lane(config_, lay, done_, loop.mem, pid, inst,
+                    [&](Addr, Addr pos) {
+                      mode = kXTask;
+                      soa.reg(kXLeaf, pid) = static_cast<Word>(pos);
+                      soa.reg(kXStep, pid) = 0;
+                      const std::span<Word> scratch = x_scratch(soa, pid);
+                      std::fill(scratch.begin(), scratch.end(), Word{0});
+                    });
+    return !inst.done;
+  }
+  const Addr element =
+      lay.first_element(static_cast<Addr>(soa.reg(kXLeaf, pid)));
+  if (mode == kXTask) {
+    Word& k = soa.reg(kXStep, pid);
+    LaneCycle lane(loop.mem, em);
+    config_.task->run_lane(lane, element, static_cast<unsigned>(k),
+                           x_scratch(soa, pid));
+    if (++k >= static_cast<Word>(task_cycles_)) mode = kXDoneMark;
+    return true;
+  }
+  em.write(lay.x(element), stamped(config_.stamp, 1));
+  mode = kXNavigate;
+  return true;
+}
+
+void TaskLanes::save_v(const SoaStore& soa, Pid pid, Slot start,
+                       Slot clock_stride, WordWriter& w) const {
+  w.put_u64(start);
+  w.put_u64(clock_stride);
+  w.put_bool(soa.reg(kVWaiting, pid) != 0);
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kVNode, pid)));
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kVLo, pid)));
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kVHi, pid)));
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kVLeaf, pid)));
+  w.put_span(soa.band(kRegisters, 2 * scratch_cap_, pid)
+                 .first(scratch_words_));
+}
+
+void TaskLanes::load_v(SoaStore& soa, Pid pid, Slot start, Slot clock_stride,
+                       WordReader& r) const {
+  expect_word(r, start, "V start slot");
+  expect_word(r, clock_stride, "V clock stride");
+  soa.reg(kVWaiting, pid) = r.get_bool() ? 1 : 0;
+  soa.reg(kVNode, pid) = static_cast<Word>(r.get_u64());
+  soa.reg(kVLo, pid) = static_cast<Word>(r.get_u64());
+  soa.reg(kVHi, pid) = static_cast<Word>(r.get_u64());
+  soa.reg(kVLeaf, pid) = static_cast<Word>(r.get_u64());
+  expect_word(r, scratch_words_, "V scratch size");
+  for (Word& word : v_scratch(soa, pid)) word = r.get();
+}
+
+void TaskLanes::save_x(const SoaStore& soa, Pid pid, WordWriter& w) const {
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kXMode, pid)));
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kXLeaf, pid)));
+  w.put_u64(static_cast<std::uint64_t>(soa.reg(kXStep, pid)));
+  w.put_span(soa.band(kRegisters, 2 * scratch_cap_, pid)
+                 .subspan(scratch_cap_, scratch_words_));
+  w.put_bool(false);  // rng_ absent (PID-bit descent)
+}
+
+void TaskLanes::load_x(SoaStore& soa, Pid pid, WordReader& r) const {
+  const std::uint64_t mode = r.get_u64();
+  if (mode > static_cast<std::uint64_t>(kXDoneMark)) {
+    throw ConfigError("invalid X-state mode in a checkpoint stream");
+  }
+  soa.reg(kXMode, pid) = static_cast<Word>(mode);
+  soa.reg(kXLeaf, pid) = static_cast<Word>(r.get_u64());
+  soa.reg(kXStep, pid) = static_cast<Word>(r.get_u64());
+  expect_word(r, scratch_words_, "X scratch size");
+  for (Word& word : x_scratch(soa, pid)) word = r.get();
+  expect_word(r, 0, "X RNG flag");
+}
 
 // ---------------------------------------------------------------------------
 // Factories and the Program::batch_kernels overrides.
@@ -833,6 +1091,9 @@ std::unique_ptr<BatchKernel> make_x_batch_kernel(const WriteAllConfig& config,
 
 std::unique_ptr<BatchKernel> make_vx_batch_kernel(
     const WriteAllConfig& config, const CombinedLayout& layout) {
+  if (config.task != nullptr) {
+    return std::make_unique<VxTaskBatchKernel>(config, layout);
+  }
   return std::make_unique<VxBatchKernel>(config, layout);
 }
 
@@ -853,7 +1114,9 @@ std::unique_ptr<BatchKernel> AlgX::batch_kernels() const {
 }
 
 std::unique_ptr<BatchKernel> CombinedVX::batch_kernels() const {
-  if (config_.task != nullptr) return nullptr;
+  if (config_.task != nullptr && !config_.task->has_lane_form()) {
+    return nullptr;
+  }
   return make_vx_batch_kernel(config_, layout_);
 }
 

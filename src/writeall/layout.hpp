@@ -15,6 +15,7 @@
 
 #include "pram/memory.hpp"
 #include "pram/program.hpp"
+#include "pram/soa.hpp"
 #include "pram/types.hpp"
 #include "util/bits.hpp"
 
@@ -53,6 +54,14 @@ constexpr Word payload_of(Word cell, Word stamp) {
 // never produce a COMMON conflict). `scratch` carries private state between
 // micro-cycles of one attempt; it is zeroed at k == 0 and lost on failure,
 // hence tasks must be idempotent and restartable from k == 0.
+//
+// Lane form (optional): `run_lane` is the same micro-cycle for one lane of
+// a batched slot (pram/soa.hpp LaneCycle: slot-start memory in, writes out
+// through the lane's LaneEmit) and must make the same reads, writes,
+// scratch updates and errors as `run`. Write the body once as a template
+// over the context type and call it from both. The task-mode kernels
+// (writeall/kernels.hpp) call it lane by lane; a task without a lane form
+// keeps V, X and VX on the interpreter.
 class TaskSpec {
  public:
   virtual ~TaskSpec() = default;
@@ -60,6 +69,17 @@ class TaskSpec {
   virtual void run(CycleContext& ctx, Addr task, unsigned k,
                    std::span<Word> scratch) const = 0;
   virtual std::size_t scratch_words() const { return 16; }
+
+  virtual bool has_lane_form() const { return false; }
+  virtual void run_lane(LaneCycle& lane, Addr task, unsigned k,
+                        std::span<Word> scratch) const {
+    (void)lane;
+    (void)task;
+    (void)k;
+    (void)scratch;
+    throw ConfigError("TaskSpec::run_lane called on a task without a lane "
+                      "form");
+  }
 };
 
 // --- Tree navigation ---------------------------------------------------------

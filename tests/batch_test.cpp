@@ -12,6 +12,7 @@
 #include "fault/adversaries.hpp"
 #include "fault/halving.hpp"
 #include "fault/stalkers.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pram/engine.hpp"
 #include "replay/schedule.hpp"
@@ -147,12 +148,13 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name,
-                       std::size_t threads) {
+                       std::size_t threads,
+                       const WriteAllConfig& config = {.n = 192, .p = 48,
+                                                       .seed = 5}) {
   const std::string what = std::string(to_string(algo)) + " x " +
                            adversary_name + " x threads=" +
                            std::to_string(threads);
   SCOPED_TRACE(what);
-  const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
   const std::uint64_t seed = 77;
 
   EngineOptions options;
@@ -396,6 +398,72 @@ TEST(BatchFallback, TaskSpecForcesInterpreter) {
     options.batch = true;
     Engine engine(*program, options);
     EXPECT_FALSE(engine.batch_active()) << to_string(algo);
+  }
+}
+
+// A two-micro-cycle leaf task with a lane form: k = 0 reads cell `task`
+// into scratch, k = 1 writes it (plus task + 1) below the Write-All region.
+// One body serves both forms, as TaskSpec asks.
+class CopyTask final : public TaskSpec {
+ public:
+  explicit CopyTask(Addr out) : out_(out) {}
+  unsigned cycles_per_task() const override { return 2; }
+  std::size_t scratch_words() const override { return 1; }
+  void run(CycleContext& ctx, Addr task, unsigned k,
+           std::span<Word> scratch) const override {
+    body(ctx, task, k, scratch);
+  }
+  bool has_lane_form() const override { return true; }
+  void run_lane(LaneCycle& lane, Addr task, unsigned k,
+                std::span<Word> scratch) const override {
+    body(lane, task, k, scratch);
+  }
+
+ private:
+  template <class Ctx>
+  void body(Ctx& ctx, Addr task, unsigned k, std::span<Word> scratch) const {
+    if (k == 0) {
+      scratch[0] = ctx.read(task);
+      return;
+    }
+    ctx.write(out_ + task, scratch[0] + static_cast<Word>(task) + 1);
+  }
+
+  Addr out_;
+};
+
+TEST(BatchEquivalence, CombinedVXLaneFormTask) {
+  // The task-mode VX kernel (writeall/kernels.hpp TaskLanes) against the
+  // interpreter's CombinedState, checkpoints included.
+  const CopyTask task(/*out=*/96);
+  WriteAllConfig config{.n = 96, .p = 24, .seed = 5};
+  config.stamp = 1;
+  config.base = 2 * config.n;  // cells [0, 2n) hold the task's input/output
+  config.task = &task;
+  for (const std::string adversary : {"none", "random", "burst", "stalker"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      check_equivalence(WriteAllAlgo::kCombinedVX, adversary, threads,
+                        config);
+    }
+  }
+}
+
+TEST(BatchFallback, ReasonReachesMetrics) {
+  const WriteAllConfig config{.n = 64, .p = 16};
+  const auto program = make_writeall(WriteAllAlgo::kX, config);
+  for (const bool log_reads : {false, true}) {
+    MetricsRegistry metrics;
+    EngineOptions options;
+    options.batch = true;
+    options.log_reads = log_reads;  // forces the interpreter
+    options.metrics = &metrics;
+    Engine engine(*program, options);
+    EXPECT_EQ(engine.batch_fallback(), log_reads ? "read-logging" : "");
+    NoFailures none;
+    engine.run(none);
+    EXPECT_EQ(metrics.gauge("engine.backend").value(), log_reads ? 0.0 : 1.0);
+    EXPECT_EQ(metrics.counters().count("engine.batch_fallback.read-logging"),
+              log_reads ? 1u : 0u);
   }
 }
 

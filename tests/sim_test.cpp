@@ -300,24 +300,41 @@ TEST(Simulate, ChainValidation) {
   EXPECT_THROW(ChainedProgram chain(small, large), ConfigError);
 }
 
+// A program that under-declares its load budget (8 loads, declares 2).
+class Greedy final : public SimProgram {
+ public:
+  std::string_view name() const override { return "greedy"; }
+  Pid processors() const override { return 2; }
+  Addr memory_cells() const override { return 8; }
+  Step steps() const override { return 1; }
+  void step(StepContext& ctx, Pid, Step) const override {
+    Word sum = 0;
+    for (Addr a = 0; a < 8; ++a) sum += ctx.load(a);  // 8 loads
+    ctx.store(0, sum);
+  }
+  unsigned max_loads() const override { return 2; }  // lies
+  unsigned max_stores() const override { return 1; }
+  unsigned registers() const override { return 0; }
+};
+
+// A program that under-declares its store budget (4 stores, declares 1).
+class Scattering final : public SimProgram {
+ public:
+  std::string_view name() const override { return "scattering"; }
+  Pid processors() const override { return 2; }
+  Addr memory_cells() const override { return 8; }
+  Step steps() const override { return 1; }
+  void step(StepContext& ctx, Pid j, Step) const override {
+    for (Addr a = 0; a < 4; ++a) ctx.store(4 * j + a, 1);  // 4 stores
+  }
+  unsigned max_loads() const override { return 0; }
+  unsigned max_stores() const override { return 1; }  // lies
+  unsigned registers() const override { return 0; }
+};
+
 TEST(Simulate, LoadBudgetViolationIsReported) {
   // A program that under-declares its load budget must be rejected loudly,
   // not silently miscomputed.
-  class Greedy final : public SimProgram {
-   public:
-    std::string_view name() const override { return "greedy"; }
-    Pid processors() const override { return 2; }
-    Addr memory_cells() const override { return 8; }
-    Step steps() const override { return 1; }
-    void step(StepContext& ctx, Pid, Step) const override {
-      Word sum = 0;
-      for (Addr a = 0; a < 8; ++a) sum += ctx.load(a);  // 8 loads
-      ctx.store(0, sum);
-    }
-    unsigned max_loads() const override { return 2; }  // lies
-    unsigned max_stores() const override { return 1; }
-    unsigned registers() const override { return 0; }
-  };
   Greedy program;
   NoFailures none;
   EXPECT_THROW(simulate(program, none), ConfigError);
@@ -326,22 +343,33 @@ TEST(Simulate, LoadBudgetViolationIsReported) {
 TEST(Simulate, StoreBudgetViolationIsReported) {
   // Same for stores: a step that writes more cells than it declares must
   // not have its log silently truncated.
-  class Scattering final : public SimProgram {
-   public:
-    std::string_view name() const override { return "scattering"; }
-    Pid processors() const override { return 2; }
-    Addr memory_cells() const override { return 8; }
-    Step steps() const override { return 1; }
-    void step(StepContext& ctx, Pid j, Step) const override {
-      for (Addr a = 0; a < 4; ++a) ctx.store(4 * j + a, 1);  // 4 stores
-    }
-    unsigned max_loads() const override { return 0; }
-    unsigned max_stores() const override { return 1; }  // lies
-    unsigned registers() const override { return 0; }
-  };
   Scattering program;
   NoFailures none;
   EXPECT_THROW(simulate(program, none), ConfigError);
+}
+
+// The same budget errors on the batched backend: the lane form of the
+// compute task runs the same checks.
+void expect_batched_config_error(const SimProgram& program) {
+  const SimLayout layout(program, 0);
+  const auto outer =
+      make_simulation_program(program, layout, SimInner::kCombinedVX);
+  EngineOptions options;
+  options.read_budget = 5;
+  options.write_budget = 2;
+  options.batch = true;
+  Engine engine(*outer, options);
+  ASSERT_TRUE(engine.batch_active());
+  NoFailures none;
+  EXPECT_THROW(engine.run(none), ConfigError);
+}
+
+TEST(Simulate, LoadBudgetViolationIsReportedBatched) {
+  expect_batched_config_error(Greedy());
+}
+
+TEST(Simulate, StoreBudgetViolationIsReportedBatched) {
+  expect_batched_config_error(Scattering());
 }
 
 // Forwards every call to `inner` and counts the step calls that exit by
